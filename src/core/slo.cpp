@@ -5,30 +5,12 @@
 #include <vector>
 
 #include "graph/maxflow.hpp"
-#include "graph/shortest_path.hpp"
 #include "obs/metrics.hpp"
 
 namespace iris::core {
 
 using graph::EdgeId;
 using graph::NodeId;
-
-reliability::PairUpFn planned_path_criterion(const fibermap::FiberMap& map,
-                                             const ProvisionedNetwork& net) {
-  std::vector<char> used(static_cast<std::size_t>(map.graph().edge_count()), 0);
-  for (EdgeId e = 0; e < map.graph().edge_count(); ++e) {
-    used[static_cast<std::size_t>(e)] = net.edge_used(e) ? 1 : 0;
-  }
-  return [&map, used = std::move(used)](const graph::EdgeMask& mask, NodeId a,
-                                        NodeId b) {
-    graph::EdgeMask m = mask;
-    for (EdgeId e = 0; e < map.graph().edge_count(); ++e) {
-      if (!used[static_cast<std::size_t>(e)]) m.fail(e);
-    }
-    const auto tree = graph::dijkstra(map.graph(), a, m);
-    return tree.reachable(b);
-  };
-}
 
 reliability::PairUpFn planned_capacity_criterion(const fibermap::FiberMap& map,
                                                 const ProvisionedNetwork& net,
@@ -73,28 +55,7 @@ void validate_slo_params(const PlannerParams& params) {
 SloProvisionReport provision_to_availability_slo(
     const fibermap::FiberMap& map, const PlannerParams& params,
     const reliability::CorrelatedFailureModel& model) {
-  validate_slo_params(params);
-
-  SloProvisionReport report;
-  for (int k = params.failure_tolerance; k <= params.slo_max_tolerance; ++k) {
-    PlannerParams candidate = params;
-    candidate.failure_tolerance = k;
-    report.network = provision(map, candidate);
-    report.availability = reliability::simulate_availability_correlated(
-        map, model, planned_path_criterion(map, report.network));
-    report.tolerance = k;
-    ++report.search_steps;
-    if (report.availability.summary.worst_availability >=
-        params.availability_slo) {
-      report.met = true;
-      break;
-    }
-  }
-  report.oversubscription = report.network.params.oversubscription;
-  report.cost_fibers = report.network.total_base_fibers();
-  obs::registry().add("planner.slo.search_steps", report.search_steps);
-  if (report.met) obs::registry().add("planner.slo.met");
-  return report;
+  return provision_to_availability_slo(map, params, model, SloCostOptions{});
 }
 
 SloProvisionReport provision_to_availability_slo(

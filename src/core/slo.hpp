@@ -47,20 +47,15 @@ struct SloCostOptions {
   int bisect_iters = 10;
 };
 
-/// Connectivity criterion restricted to ducts the plan actually provisioned:
-/// a pair is up while some surviving path exists using used ducts only.
-/// This is the honest criterion for judging a plan's SLO — raw reachability
-/// over unbuilt fiber would flatter every design equally.
-reliability::PairUpFn planned_path_criterion(const fibermap::FiberMap& map,
-                                            const ProvisionedNetwork& net);
-
 /// Capacity-aware criterion: a pair is up while `demand_waves` wavelengths
 /// fit through the surviving planned capacity (integer max-flow over used
-/// ducts, capacities = edge_capacity_wavelengths). demand_waves == 1 is
-/// exactly planned_path_criterion; larger demands make availability
-/// sensitive to how much capacity the plan bought, which is what lets the
-/// SLO search trade oversubscription against availability. Throws
-/// std::invalid_argument when demand_waves < 1.
+/// ducts, capacities = edge_capacity_wavelengths). Pairs are judged on
+/// planned ducts only -- raw reachability over unbuilt fiber would flatter
+/// every design equally. demand_waves == 1 is plain connectivity over the
+/// surviving used ducts; larger demands make availability sensitive to how
+/// much capacity the plan bought, which is what lets the SLO search trade
+/// oversubscription against availability. Throws std::invalid_argument
+/// when demand_waves < 1.
 reliability::PairUpFn planned_capacity_criterion(const fibermap::FiberMap& map,
                                                 const ProvisionedNetwork& net,
                                                 long long demand_waves);
@@ -70,7 +65,8 @@ reliability::PairUpFn planned_capacity_criterion(const fibermap::FiberMap& map,
 /// pair availability meets params.availability_slo under `model`.
 /// Deterministic: same map, params and model give the same report.
 /// Throws std::invalid_argument if params.availability_slo is not in (0, 1]
-/// or the tolerance range is empty.
+/// or the tolerance range is empty. Equivalent to the 4-argument overload
+/// with default SloCostOptions, to which it delegates.
 SloProvisionReport provision_to_availability_slo(
     const fibermap::FiberMap& map, const PlannerParams& params,
     const reliability::CorrelatedFailureModel& model);

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
+#include <unordered_map>
 
 #include "graph/shortest_path.hpp"
 #include "obs/metrics.hpp"
@@ -37,11 +39,26 @@ PairUpFn via_hub_criterion(const fibermap::FiberMap& map,
 
 namespace {
 
+/// The effective failed-duct set, one bit per EdgeId, 64 to a word.
+using MaskKey = std::vector<std::uint64_t>;
+
+struct MaskKeyHash {
+  std::size_t operator()(const MaskKey& key) const noexcept {
+    std::uint64_t h = 0x9e3779b97f4a7c15ULL;
+    for (std::uint64_t word : key) {
+      h ^= word + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
+    }
+    return static_cast<std::size_t>(h);
+  }
+};
+
 /// The one event-driven simulation loop: pulls the failure timeline from
 /// EventStream (the shared sampling engine) and integrates per-pair
 /// downtime. simulate_availability and simulate_availability_correlated are
 /// both thin wrappers, so the legacy and correlated models can never drift
-/// in how failures are drawn or downtime is accounted.
+/// in how failures are drawn or downtime is accounted. It records
+/// `reliability.criterion.evaluations` (criterion calls made) and
+/// `reliability.criterion.memo_hits` (asks answered from the memo).
 CorrelatedAvailabilityReport run_event_sim(const fibermap::FiberMap& map,
                                            const CorrelatedFailureModel& model,
                                            const PairUpFn& pair_up) {
@@ -90,22 +107,52 @@ CorrelatedAvailabilityReport run_event_sim(const fibermap::FiberMap& map,
 
   // Duct state: down while any active event (cut, trench hit, hut outage,
   // maintenance) covers it, or implicitly dead because an endpoint site is
-  // down. The mask handed to the criterion reflects both.
+  // down. The mask handed to the criterion reflects both; `key` packs the
+  // same bits 64 to a word and names the mask in the verdict memo. Both are
+  // updated only for the ducts an event touches.
   std::vector<int> duct_down_count(g.edge_count(), 0);
   std::vector<int> site_down_count(g.node_count(), 0);
   graph::EdgeMask mask(g.edge_count());
-  const auto rebuild_mask = [&] {
-    mask = graph::EdgeMask(g.edge_count());
-    for (EdgeId e = 0; e < g.edge_count(); ++e) {
-      const graph::Edge& edge = g.edge(e);
-      if (duct_down_count[e] > 0 || site_down_count[edge.u] > 0 ||
-          site_down_count[edge.v] > 0) {
-        mask.fail(e);
-      }
+  MaskKey key((static_cast<std::size_t>(g.edge_count()) + 63) / 64, 0);
+  const auto refresh_duct = [&](EdgeId e) {
+    const graph::Edge& edge = g.edge(e);
+    const std::uint64_t bit = std::uint64_t{1} << (e % 64);
+    if (duct_down_count[e] > 0 || site_down_count[edge.u] > 0 ||
+        site_down_count[edge.v] > 0) {
+      mask.fail(e);
+      key[e / 64] |= bit;
+    } else {
+      mask.restore(e);
+      key[e / 64] &= ~bit;
     }
   };
   std::vector<bool> pair_down(dcs.size() * dcs.size(), false);
   std::vector<double> down_since(dcs.size() * dcs.size(), 0.0);
+
+  // Verdict memo: the criterion is a pure function of (mask, a, b), so a
+  // pair asked again under a mask it has already been asked about gets the
+  // recorded answer. Masks are interned to dense ids; verdicts[id * n^2 +
+  // pair] is -1 until that pair is first asked under that mask.
+  std::unordered_map<MaskKey, std::size_t, MaskKeyHash> mask_ids;
+  std::vector<signed char> verdicts;
+  std::size_t mask_base = 0;  // offset of the current mask's verdict row
+  long long evaluations = 0;
+  long long memo_hits = 0;
+  const auto intern_mask = [&] {
+    const auto [it, fresh] = mask_ids.try_emplace(key, mask_ids.size());
+    mask_base = it->second * dcs.size() * dcs.size();
+    if (fresh) verdicts.resize(verdicts.size() + dcs.size() * dcs.size(), -1);
+  };
+  const auto memo_pair_up = [&](std::size_t idx, NodeId a, NodeId b) {
+    signed char& verdict = verdicts[mask_base + idx];
+    if (verdict < 0) {
+      verdict = pair_up(mask, a, b) ? 1 : 0;
+      ++evaluations;
+    } else {
+      ++memo_hits;
+    }
+    return verdict == 1;
+  };
 
   const auto refresh_pairs = [&](double now_h) {
     for (std::size_t i = 0; i < dcs.size(); ++i) {
@@ -116,7 +163,7 @@ CorrelatedAvailabilityReport run_event_sim(const fibermap::FiberMap& map,
         // count as up so the designs are compared on connectivity alone.
         const bool endpoint_down =
             site_down_count[dcs[i]] > 0 || site_down_count[dcs[j]] > 0;
-        const bool up = endpoint_down || pair_up(mask, dcs[i], dcs[j]);
+        const bool up = endpoint_down || memo_pair_up(idx, dcs[i], dcs[j]);
         if (!up && !pair_down[idx]) {
           pair_down[idx] = true;
           down_since[idx] = now_h;
@@ -132,6 +179,10 @@ CorrelatedAvailabilityReport run_event_sim(const fibermap::FiberMap& map,
     const int delta = event_is_failure(ev->kind) ? 1 : -1;
     for (EdgeId e : ev->ducts) duct_down_count[e] += delta;
     for (NodeId n : ev->sites) site_down_count[n] += delta;
+    for (EdgeId e : ev->ducts) refresh_duct(e);
+    for (NodeId n : ev->sites) {
+      for (EdgeId e : g.incident(n)) refresh_duct(e);
+    }
     switch (ev->kind) {
       case EventKind::kDuctCut:
         ++report.cut_events;
@@ -156,9 +207,12 @@ CorrelatedAvailabilityReport run_event_sim(const fibermap::FiberMap& map,
       default:
         break;
     }
-    rebuild_mask();
+    intern_mask();
     refresh_pairs(ev->at_h);
   }
+  auto& reg = obs::registry();
+  if (evaluations > 0) reg.add("reliability.criterion.evaluations", evaluations);
+  if (memo_hits > 0) reg.add("reliability.criterion.memo_hits", memo_hits);
   // Close any open downtime intervals at the horizon.
   for (std::size_t i = 0; i < dcs.size(); ++i) {
     for (std::size_t j = i + 1; j < dcs.size(); ++j) {

@@ -61,6 +61,11 @@ struct AvailabilityReport {
 
 /// Connectivity criterion: given the set of currently failed ducts, is the
 /// pair up? Defaults cover the two interesting designs below.
+///
+/// Contract: a criterion must be a pure function of (mask, a, b) -- no
+/// state that changes its answer between calls. The simulator relies on
+/// this: it caches each pair's verdict per distinct failure mask and asks
+/// the criterion only the first time a (mask, a, b) triple comes up.
 using PairUpFn = std::function<bool(const graph::EdgeMask&, graph::NodeId,
                                     graph::NodeId)>;
 

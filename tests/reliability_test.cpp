@@ -1,11 +1,23 @@
 #include <gtest/gtest.h>
 
+#include <array>
+#include <set>
+#include <tuple>
+
+#include "core/provision.hpp"
+#include "core/slo.hpp"
 #include "fibermap/generator.hpp"
+#include "fibermap/srlg.hpp"
+#include "obs/metrics.hpp"
 #include "reliability/availability.hpp"
+#include "reliability/events.hpp"
 #include "topology/latency.hpp"
 
 namespace iris::reliability {
 namespace {
+
+using graph::EdgeId;
+using graph::NodeId;
 
 FailureModel fast_model(std::uint64_t seed = 1) {
   FailureModel model;
@@ -202,6 +214,190 @@ TEST_P(SeedSweep, EstimatesAreStableAcrossSeeds) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SeedSweep, ::testing::Values(1, 2, 3, 4, 5));
+
+// ---------------------------------------------------------------------------
+// Exactness of the per-mask verdict memo. The correlated run below folds
+// every event kind into the failure mask (duct cuts, a declared trench with
+// a maintenance calendar, inferred hut outages, site-level disasters) with
+// batch-means CIs on; its report doubles were captured from the simulator
+// before it memoized verdicts, so any drift in the downtime accounting
+// shows up as a changed bit.
+
+struct CorrelatedRun {
+  fibermap::FiberMap map;
+  CorrelatedFailureModel model;
+  core::ProvisionedNetwork net;
+};
+
+const CorrelatedRun& correlated_run() {
+  static const CorrelatedRun run = [] {
+    CorrelatedRun r;
+    fibermap::RegionParams region;
+    region.seed = 9;
+    region.dc_count = 5;
+    region.hut_count = 10;
+    region.capacity_fibers = 8;
+    r.map = fibermap::generate_region(region);
+    fibermap::infer_and_add_srlgs(r.map);
+    const auto dc0 = r.map.graph().incident(r.map.dcs()[0]);
+    const auto trench = r.map.add_srlg(
+        {"dc0-trench", fibermap::SrlgKind::kTrench, {dc0[0], dc0[1]}, 2.0});
+
+    r.model.base.cuts_per_km_year = 0.5;
+    r.model.base.mean_repair_hours = 24.0;
+    r.model.base.disasters_per_year = 0.5;
+    r.model.base.disaster_radius_km = 4.0;
+    r.model.base.disaster_repair_days = 5.0;
+    r.model.base.horizon_years = 40.0;
+    r.model.base.seed = 0x901d;
+    r.model.trench_hits_per_km_year = 1.0;
+    r.model.hut_outages_per_year = 2.0;
+    r.model.maintenance.push_back({trench, 100.0, 2000.0, 8.0});
+    r.model.ci_batches = 4;
+
+    core::PlannerParams params;
+    params.failure_tolerance = 1;
+    params.channels.wavelengths_per_fiber = 40;
+    r.net = core::provision(r.map, params);
+    return r;
+  }();
+  return run;
+}
+
+/// {availability, ci_low, ci_high} per pair, then worst and mean.
+struct PinnedReport {
+  std::array<std::array<double, 3>, 10> pairs;
+  double worst;
+  double mean;
+};
+
+void expect_pinned(const CorrelatedAvailabilityReport& r,
+                   const PinnedReport& pin) {
+  EXPECT_GT(r.trench_events, 0);
+  EXPECT_GT(r.hut_events, 0);
+  EXPECT_GT(r.maintenance_events, 0);
+  EXPECT_GT(r.disaster_events, 0);
+  ASSERT_EQ(r.summary.pairs.size(), pin.pairs.size());
+  for (std::size_t i = 0; i < pin.pairs.size(); ++i) {
+    // Bit-for-bit: exact double equality, not EXPECT_NEAR.
+    EXPECT_EQ(r.summary.pairs[i].availability, pin.pairs[i][0]) << "pair " << i;
+    EXPECT_EQ(r.summary.pairs[i].ci_low, pin.pairs[i][1]) << "pair " << i;
+    EXPECT_EQ(r.summary.pairs[i].ci_high, pin.pairs[i][2]) << "pair " << i;
+  }
+  EXPECT_EQ(r.summary.worst_availability, pin.worst);
+  EXPECT_EQ(r.summary.mean_availability, pin.mean);
+}
+
+TEST(Availability, PinnedCorrelatedReportAnyPath) {
+  const auto& run = correlated_run();
+  expect_pinned(
+      simulate_availability_correlated(run.map, run.model,
+                                       any_path_criterion(run.map)),
+      {{{{0x1.f9eb4cab7df4ap-1, 0x1.f915a355526b1p-1, 0x1.fac0f601a97e3p-1},
+         {0x1.f99ac8049c84bp-1, 0x1.f8c70e4f0aa86p-1, 0x1.fa6e81ba2e61p-1},
+         {0x1.f9e0a5256002p-1, 0x1.f952d87bfe2aap-1, 0x1.fa6e71cec1d96p-1},
+         {0x1.f99002261d3b1p-1, 0x1.f919daa4f8885p-1, 0x1.fa0629a741eddp-1},
+         {0x1.fe439dc15f293p-1, 0x1.fd5bf2aa8b33ep-1, 0x1.ff2b48d8331e8p-1},
+         {0x1.fe8c9e82d063p-1, 0x1.fe0a80d57eeacp-1, 0x1.ff0ebc3021db4p-1},
+         {0x1.fe395952f43fdp-1, 0x1.fd8482c1d89fp-1, 0x1.feee2fe40fe0ap-1},
+         {0x1.fe3cf9bbe9c0ap-1, 0x1.fd9e70fa3f63ep-1, 0x1.fedb827d941d6p-1},
+         {0x1.fde926c6f203cp-1, 0x1.fd6e434d46766p-1, 0x1.fe640a409d912p-1},
+         {0x1.fe2fcd1b7cd76p-1, 0x1.fdb2498e214ebp-1, 0x1.fead50a8d8601p-1}}},
+       0x1.f99002261d3b1p-1, 0x1.fc6f0651b5363p-1});
+}
+
+TEST(Availability, PinnedCorrelatedReportViaHub) {
+  const auto& run = correlated_run();
+  expect_pinned(
+      simulate_availability_correlated(
+          run.map, run.model,
+          via_hub_criterion(run.map, {run.map.huts()[0], run.map.huts()[1]})),
+      {{{{0x1.f9df2d3c8fdfp-1, 0x1.f90e56cc1e89bp-1, 0x1.fab003ad01345p-1},
+         {0x1.f99190c7b06efp-1, 0x1.f8c69e28f5fadp-1, 0x1.fa5c83666ae31p-1},
+         {0x1.f9e0a5256002p-1, 0x1.f952d87bfe2aap-1, 0x1.fa6e71cec1d96p-1},
+         {0x1.f983e2b72f257p-1, 0x1.f9102129489bdp-1, 0x1.f9f7a44515af1p-1},
+         {0x1.fe3a668473138p-1, 0x1.fd5c1451c5773p-1, 0x1.ff18b8b720afdp-1},
+         {0x1.fe8c9e82d063p-1, 0x1.fe0a80d57eeacp-1, 0x1.ff0ebc3021db4p-1},
+         {0x1.fe2d39e4062a4p-1, 0x1.fd79600c654d2p-1, 0x1.fee113bba7076p-1},
+         {0x1.fe3cf9bbe9c0ap-1, 0x1.fd9e70fa3f63ep-1, 0x1.fedb827d941d6p-1},
+         {0x1.fddfef8a05ee1p-1, 0x1.fd69686693d19p-1, 0x1.fe5676ad780a9p-1},
+         {0x1.fe2fcd1b7cd76p-1, 0x1.fdb2498e214ebp-1, 0x1.fead50a8d8601p-1}}},
+       0x1.f983e2b72f257p-1, 0x1.fc689f848d5c6p-1});
+}
+
+TEST(Availability, PinnedCorrelatedReportPlannedCapacity) {
+  const auto& run = correlated_run();
+  expect_pinned(
+      simulate_availability_correlated(
+          run.map, run.model,
+          core::planned_capacity_criterion(run.map, run.net, 2)),
+      {{{{0x1.f9eb4cab7df4ap-1, 0x1.f915a355526b1p-1, 0x1.fac0f601a97e3p-1},
+         {0x1.f99ac8049c84bp-1, 0x1.f8c70e4f0aa86p-1, 0x1.fa6e81ba2e61p-1},
+         {0x1.f9aebc66e7929p-1, 0x1.f92fea441286fp-1, 0x1.fa2d8e89bc9e3p-1},
+         {0x1.f99002261d3b1p-1, 0x1.f919daa4f8885p-1, 0x1.fa0629a741eddp-1},
+         {0x1.fe439dc15f293p-1, 0x1.fd5bf2aa8b33ep-1, 0x1.ff2b48d8331e8p-1},
+         {0x1.fe5a83c2ecfd6p-1, 0x1.fde88054f0e64p-1, 0x1.fecc8730e9148p-1},
+         {0x1.fe395952f43fdp-1, 0x1.fd8482c1d89fp-1, 0x1.feee2fe40fe0ap-1},
+         {0x1.fe0adefc065bp-1, 0x1.fd7bf1e1145a4p-1, 0x1.fe99cc16f85bcp-1},
+         {0x1.fde926c6f203cp-1, 0x1.fd6e434d46766p-1, 0x1.fe640a409d912p-1},
+         {0x1.fdfdb25b9971cp-1, 0x1.fd7b34df3198p-1, 0x1.fe802fd8014b8p-1}}},
+       0x1.f99002261d3b1p-1, 0x1.fc5b009eb1bfdp-1});
+}
+
+/// Wraps a criterion to count its calls and the (mask, a, b) triples asked
+/// more than once.
+struct CountingCriterion {
+  long long calls = 0;
+  long long repeats = 0;
+  std::set<std::tuple<std::vector<bool>, NodeId, NodeId>> seen;
+
+  PairUpFn wrap(PairUpFn inner, EdgeId edges) {
+    return [this, inner = std::move(inner), edges](const graph::EdgeMask& m,
+                                                   NodeId a, NodeId b) {
+      std::vector<bool> failed(static_cast<std::size_t>(edges));
+      for (EdgeId e = 0; e < edges; ++e) failed[e] = m.failed(e);
+      ++calls;
+      if (!seen.emplace(std::move(failed), a, b).second) ++repeats;
+      return inner(m, a, b);
+    };
+  }
+};
+
+TEST(Availability, MemoAsksEachMaskAndPairOnce) {
+  const auto& run = correlated_run();
+  const EdgeId edges = run.map.graph().edge_count();
+  const std::vector<PairUpFn> criteria{
+      any_path_criterion(run.map),
+      via_hub_criterion(run.map, {run.map.huts()[0], run.map.huts()[1]}),
+      core::planned_capacity_criterion(run.map, run.net, 2)};
+  auto& reg = obs::registry();
+  for (const PairUpFn& inner : criteria) {
+    CountingCriterion counting;
+    const long long evals0 = reg.counter("reliability.criterion.evaluations");
+    const long long hits0 = reg.counter("reliability.criterion.memo_hits");
+    (void)simulate_availability_correlated(run.map, run.model,
+                                           counting.wrap(inner, edges));
+    EXPECT_GT(counting.calls, 0);
+    EXPECT_EQ(counting.repeats, 0);
+    if (!obs::compiled_in()) continue;
+    EXPECT_EQ(reg.counter("reliability.criterion.evaluations") - evals0,
+              counting.calls);
+    // Most asks revisit a mask already seen.
+    EXPECT_GT(reg.counter("reliability.criterion.memo_hits") - hits0,
+              counting.calls);
+  }
+
+  // The legacy entry point runs the same loop, so it reports the same way.
+  CountingCriterion counting;
+  const long long evals0 = reg.counter("reliability.criterion.evaluations");
+  (void)simulate_availability(run.map, run.model.base,
+                              counting.wrap(any_path_criterion(run.map), edges));
+  EXPECT_EQ(counting.repeats, 0);
+  if (obs::compiled_in()) {
+    EXPECT_EQ(reg.counter("reliability.criterion.evaluations") - evals0,
+              counting.calls);
+  }
+}
 
 }  // namespace
 }  // namespace iris::reliability

@@ -477,8 +477,8 @@ TEST(SloProvisioning, RejectsBadArguments) {
                std::invalid_argument);
 }
 
-// The capacity-aware criterion degenerates to plain planned-path
-// connectivity at demand_waves = 1 and binds on planned capacity as the
+// The capacity-aware criterion degenerates to plain connectivity over
+// planned ducts at demand_waves = 1 and binds on planned capacity as the
 // demand grows: with nothing failed, a modest demand fits but an absurd one
 // does not -- that sensitivity is what the cost bisection needs.
 TEST(SloProvisioning, CapacityCriterionBindsOnDemand) {
@@ -488,16 +488,33 @@ TEST(SloProvisioning, CapacityCriterionBindsOnDemand) {
   params.channels.wavelengths_per_fiber = 40;
   const auto net = core::provision(map, params);
 
-  const auto path = core::planned_path_criterion(map, net);
+  const auto any_path = reliability::any_path_criterion(map);
   const auto cap1 = core::planned_capacity_criterion(map, net, 1);
   const auto greedy = core::planned_capacity_criterion(map, net, 1'000'000);
-  const graph::EdgeMask nothing_failed(map.graph().edge_count());
-  bool any_pair_starved = false;
+  const EdgeId edges = map.graph().edge_count();
+  const graph::EdgeMask nothing_failed(edges);
   const auto& dcs = map.dcs();
+  // cap1 under a failure set == any_path under that set plus every duct the
+  // plan did not use; checked with nothing failed and each planned duct cut.
+  for (EdgeId cut = -1; cut < edges; ++cut) {
+    if (cut >= 0 && !net.edge_used(cut)) continue;
+    graph::EdgeMask failed(edges);
+    graph::EdgeMask failed_or_unplanned(edges);
+    for (EdgeId e = 0; e < edges; ++e) {
+      if (e == cut) failed.fail(e);
+      if (e == cut || !net.edge_used(e)) failed_or_unplanned.fail(e);
+    }
+    for (std::size_t i = 0; i < dcs.size(); ++i) {
+      for (std::size_t j = i + 1; j < dcs.size(); ++j) {
+        EXPECT_EQ(cap1(failed, dcs[i], dcs[j]),
+                  any_path(failed_or_unplanned, dcs[i], dcs[j]))
+            << "cut " << cut;
+      }
+    }
+  }
+  bool any_pair_starved = false;
   for (std::size_t i = 0; i < dcs.size(); ++i) {
     for (std::size_t j = i + 1; j < dcs.size(); ++j) {
-      EXPECT_EQ(cap1(nothing_failed, dcs[i], dcs[j]),
-                path(nothing_failed, dcs[i], dcs[j]));
       if (!greedy(nothing_failed, dcs[i], dcs[j])) any_pair_starved = true;
     }
   }
