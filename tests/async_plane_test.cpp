@@ -15,6 +15,7 @@
 #include "control/journal.hpp"
 #include "fibermap/generator.hpp"
 #include "obs/metrics.hpp"
+#include "run_digest.hpp"
 
 namespace iris::control {
 namespace {
@@ -226,6 +227,7 @@ struct SweepResult {
   std::vector<std::string> fingerprints;
   int crashes = 0;
   std::set<int> crash_slots;  ///< ControllerCrash::schedule_slot values seen
+  RunDigest digest;  ///< journal, traces, fingerprints after every step
 };
 
 SweepResult run_async_schedule(const Fixture& f, long long crash_every) {
@@ -259,12 +261,15 @@ SweepResult run_async_schedule(const Fixture& f, long long crash_every) {
         ctl->set_command_plane(CommandPlaneMode::kAsync);
         const RecoveryReport rr = ctl->recover(journal);
         EXPECT_TRUE(rr.audit.clean()) << rr.audit.summary();
+        EXPECT_GE(rr.adopted_circuits, 0);
+        result.digest.fold_step(journal, *ctl);
         devices.fault_injector().arm_crash(crash_every);
         done = rr.had_in_flight;  // recovery resolved the crashed apply
       }
     }
     EXPECT_TRUE(ctl->audit_devices());
     result.fingerprints.push_back(ctl->state_fingerprint());
+    result.digest.fold_step(journal, *ctl);
   }
   return result;
 }
@@ -292,6 +297,21 @@ TEST(AsyncPlane, CrashKSweepAcrossScheduleSlots) {
   // inside scheduled ops (slot >= 1), not just in the serial tail (-1).
   EXPECT_TRUE(all_slots.upper_bound(0) != all_slots.end())
       << "no crash carried an async schedule slot";
+}
+
+// Pins the async sweep's bytes: every step's journal text (slot records
+// included), recovery and apply command traces, and fingerprints.
+TEST(AsyncPlane, CrashKSweepBytesArePinned) {
+  const Fixture f = make_fixture(7, 8, 12);
+  const std::vector<std::pair<long long, std::uint64_t>> pinned = {
+      {0, 0x9b087d5accca1dc1ULL},  {3, 0x2697facd8a784791ULL},
+      {7, 0x0350c46fc25fda71ULL},  {13, 0x8af72bfb7458208dULL},
+      {29, 0x263d4a9cf467ffb9ULL}, {61, 0x69d8995ee49a55d1ULL}};
+  for (const auto& [k, digest] : pinned) {
+    const std::uint64_t got = run_async_schedule(f, k).digest.value();
+    EXPECT_EQ(got, digest) << "crash_after_commands=" << k << std::hex
+                           << " got 0x" << got;
+  }
 }
 
 }  // namespace

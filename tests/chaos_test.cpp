@@ -14,6 +14,7 @@
 #include "control/controller.hpp"
 #include "control/policy.hpp"
 #include "fibermap/generator.hpp"
+#include "run_digest.hpp"
 
 namespace iris::control {
 namespace {
@@ -146,6 +147,7 @@ struct CrashSoakOutcome {
   int reconfigurations = 0;
   int rejected = 0;
   std::string fingerprint;  ///< counters + full controller/device state
+  RunDigest digest;  ///< journal, traces, fingerprints after every proposal
 };
 
 /// The closed loop under BOTH fault regimes at once: the chaos fault rates
@@ -214,6 +216,7 @@ CrashSoakOutcome run_crash_soak(std::uint64_t seed, long long crash_every) {
         policy.defer_retry(t);
       }
     }
+    out.digest.fold_step(journal, *controller);
   }
 
   std::ostringstream fp;
@@ -232,6 +235,9 @@ CrashSoakOutcome run_crash_soak(std::uint64_t seed, long long crash_every) {
 TEST(ChaosSoak, SameSeedIsBitIdenticalAcrossCrashRestartBoundaries) {
   const auto a = run_crash_soak(0xBADC0DE, 149);
   EXPECT_GT(a.crashes, 0) << "crash schedule never fired";
+  // Pinned bytes: the comparisons below only check a run against itself.
+  EXPECT_EQ(a.digest.value(), 0x9ca97a9292dcd16cULL)
+      << std::hex << "got 0x" << a.digest.value();
   EXPECT_GT(a.reconfigurations, 0);
 
   const auto b = run_crash_soak(0xBADC0DE, 149);
