@@ -48,6 +48,16 @@ struct ScenarioRecord {
 }  // namespace
 
 struct IncrementalPlanner::Cache {
+  Cache() = default;
+  // A copy shares the immutable records and starts with empty scratch;
+  // sweep_plan() sizes the scratch on first use.
+  Cache(const Cache& o)
+      : pairs(o.pairs),
+        paths(o.paths),
+        path_ids(o.path_ids),
+        records(o.records),
+        hose_memo(o.hose_memo) {}
+
   std::vector<std::pair<std::size_t, std::size_t>> pairs;  // dc indices, i < j
   std::vector<graph::Path> paths;                      // interning pool
   std::map<std::vector<EdgeId>, std::int32_t> path_ids;  // keyed by edge seq
@@ -81,6 +91,14 @@ IncrementalPlanner::IncrementalPlanner(const fibermap::FiberMap& map,
   current_ = sweep_plan();
   maybe_check_oracle("IncrementalPlanner initial plan vs provision() oracle");
 }
+
+IncrementalPlanner::IncrementalPlanner(const IncrementalPlanner& other)
+    : map_(other.map_),
+      params_(other.params_),
+      cuts_(other.cuts_),
+      current_(other.current_),
+      stats_(other.stats_),
+      cache_(std::make_unique<Cache>(*other.cache_)) {}
 
 IncrementalPlanner::IncrementalPlanner(IncrementalPlanner&&) noexcept = default;
 IncrementalPlanner::~IncrementalPlanner() = default;
@@ -133,8 +151,8 @@ ProvisionedNetwork IncrementalPlanner::sweep_plan() {
       }
     }
     c.hose_memo.resize(edge_count);
-    c.bucket.resize(edge_count);
   }
+  c.bucket.resize(edge_count);  // no-op after the first sweep of this copy
 
   std::vector<EdgeId> key_cuts;
   for (EdgeId e : cuts_) {

@@ -21,6 +21,16 @@
 // 1.5 KB per scenario on a 20-DC region. A long-lived planner cycling
 // through many distinct cut ducts accumulates one scenario family per duct;
 // destroy and rebuild the planner to shed the cache.
+//
+// Copies are independent planners over the same map. A copy deep-copies
+// the cache's indexes (interned paths, hose-load memo, the record map) but
+// shares the routed scenario records themselves, which are immutable once
+// built; from then on each copy grows its own cache and replans exactly as
+// the original would. Copying a few hundred scenarios costs well under a
+// millisecond, against a full sweep to build a planner, so a caller that
+// asks many one-off questions of one plan keeps a pristine planner and
+// cuts copies of it. Copying reads the source only, so several threads may
+// copy one const planner at once.
 #pragma once
 
 #include <memory>
@@ -44,6 +54,9 @@ class IncrementalPlanner {
   /// set. The map is referenced, not copied, and must outlive the planner.
   IncrementalPlanner(const fibermap::FiberMap& map,
                      const PlannerParams& params);
+  /// An independent planner in the same state, sharing the scenario
+  /// records (see the file comment). It references the same map.
+  IncrementalPlanner(const IncrementalPlanner& other);
   IncrementalPlanner(IncrementalPlanner&&) noexcept;
   ~IncrementalPlanner();
 

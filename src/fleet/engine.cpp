@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <optional>
 #include <stdexcept>
 
 namespace iris::fleet {
@@ -158,6 +159,13 @@ void FleetSupervisor::fold_into(obs::MetricsRegistry& dst) const {
                 static_cast<double>(quarantined_regions()));
 }
 
+struct WhatIfEngine::DrillBase {
+  std::shared_ptr<const fibermap::FiberMap> map;  // the planner refers to it
+  std::shared_ptr<const core::ProvisionedNetwork> network;
+  std::mutex build_mu;  // concurrent first drills of this plan build once
+  std::optional<core::IncrementalPlanner> planner;  // set once, then copied
+};
+
 WhatIfEngine::WhatIfEngine(int threads) : threads_(threads) {
   if (threads_ <= 0) {
     threads_ = static_cast<int>(std::thread::hardware_concurrency());
@@ -176,6 +184,42 @@ long long snapshot_staleness(const RegionShard& shard,
 }
 
 }  // namespace
+
+core::IncrementalPlanner WhatIfEngine::clone_drill_base(
+    const RegionSnapshot& snap) {
+  std::shared_ptr<DrillBase> base;
+  std::vector<std::shared_ptr<DrillBase>> evicted;  // freed after unlocking
+  {
+    const std::lock_guard<std::mutex> lock(bases_mu_);
+    const PlanKey key{snap.map.get(), snap.network.get()};
+    auto it = bases_.find(key);
+    if (it == bases_.end()) {
+      // A network only this cache still holds belongs to a fleet that is
+      // gone: no snapshot can ask for that plan again.
+      for (auto e = bases_.begin(); e != bases_.end();) {
+        if (e->second->network.use_count() == 1) {
+          evicted.push_back(std::move(e->second));
+          e = bases_.erase(e);
+        } else {
+          ++e;
+        }
+      }
+      auto fresh = std::make_shared<DrillBase>();
+      fresh->map = snap.map;
+      fresh->network = snap.network;
+      it = bases_.emplace(key, std::move(fresh)).first;
+    }
+    base = it->second;
+  }
+  {
+    const std::lock_guard<std::mutex> lock(base->build_mu);
+    if (!base->planner.has_value()) {
+      base->planner.emplace(build_drill_planner(snap));
+      drill_bases_built_.fetch_add(1, std::memory_order_relaxed);
+    }
+  }
+  return *base->planner;  // read-only from here on: copies may run at once
+}
 
 std::vector<WhatIfResult> WhatIfEngine::run_batch(
     const std::vector<Job>& jobs) {
@@ -237,8 +281,14 @@ std::vector<WhatIfResult> WhatIfEngine::run_batch(
         continue;
       }
       const long long staleness = out.staleness_ticks;
-      out = run_query(*snap, job.query);
+      out = run_query(*snap, job.query, [this](const RegionSnapshot& s) {
+        return clone_drill_base(s);
+      });
       out.staleness_ticks = staleness;
+      if (out.status == QueryStatus::kInvalidQuery) {
+        rejected_invalid_.fetch_add(1, std::memory_order_relaxed);
+        continue;
+      }
       if (shard != nullptr &&
           (staleness > 0 || shard->health() != RegionHealth::kHealthy)) {
         // Crashed/recovering region (or a head the publishes haven't caught
@@ -264,11 +314,26 @@ std::vector<WhatIfResult> WhatIfEngine::run_batch(
   const int n = threads_ < static_cast<int>(jobs.size())
                     ? threads_
                     : static_cast<int>(jobs.size());
+  // An exception escaping a std::thread's body calls std::terminate, so
+  // each worker captures its own and the batch rethrows after the join.
+  std::vector<std::exception_ptr> errors(static_cast<std::size_t>(n));
+  const auto guarded = [&](std::size_t w) {
+    try {
+      worker();
+    } catch (...) {
+      errors[w] = std::current_exception();
+    }
+  };
   std::vector<std::thread> pool;
   pool.reserve(static_cast<std::size_t>(n > 1 ? n - 1 : 0));
-  for (int i = 1; i < n; ++i) pool.emplace_back(worker);
-  worker();  // the calling thread is worker 0
+  for (int i = 1; i < n; ++i) {
+    pool.emplace_back(guarded, static_cast<std::size_t>(i));
+  }
+  guarded(0);  // the calling thread is worker 0
   for (auto& t : pool) t.join();
+  for (const std::exception_ptr& e : errors) {
+    if (e) std::rethrow_exception(e);
+  }
   return results;
 }
 
@@ -284,6 +349,10 @@ void WhatIfEngine::fold_into(obs::MetricsRegistry& dst) const {
           rejected_quarantined_.load(std::memory_order_relaxed));
   dst.add("fleet.queries.deadline_expired",
           deadline_expired_.load(std::memory_order_relaxed));
+  dst.add("fleet.queries.rejected_invalid",
+          rejected_invalid_.load(std::memory_order_relaxed));
+  dst.add("fleet.queries.drill_bases_built",
+          drill_bases_built_.load(std::memory_order_relaxed));
 }
 
 }  // namespace iris::fleet

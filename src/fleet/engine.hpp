@@ -22,7 +22,9 @@
 
 #include <atomic>
 #include <exception>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <utility>
@@ -140,6 +142,15 @@ class FleetSupervisor {
 /// Fixed-size thread pool executing what-if query batches against pinned
 /// snapshots. Results come back in input order regardless of which worker
 /// ran what, so batch output is deterministic by construction.
+///
+/// Failure drills cut a copy of a warm base planner instead of planning the
+/// region from scratch. The engine keeps one pristine base per region plan,
+/// keyed by the snapshot's (map, network) pair, which every snapshot of one
+/// region world shares; the base is built on the plan's first drill and is
+/// never cut itself. An entry owns shared copies of its map and network, so
+/// the planner's map reference stays valid and a key's addresses cannot be
+/// reused by another plan while the entry lives. Inserting an entry drops
+/// every entry whose network only the cache still holds: its fleet is gone.
 class WhatIfEngine {
  public:
   /// One unit of work. The snapshot pointer is pinned by its publishing
@@ -165,7 +176,10 @@ class WhatIfEngine {
   /// region -1. Per-query deadlines (WhatIfQuery::deadline_ms) are budgets
   /// against the batch's start: a query whose turn comes after its budget
   /// expired is rejected kDeadlineExpired without running, so one wedged
-  /// replan cannot hang the whole batch.
+  /// replan cannot hang the whole batch. Malformed queries come back
+  /// kInvalidQuery. An exception inside a query never escapes a worker
+  /// thread: every worker is joined, then the first one captured (in worker
+  /// order) is rethrown.
   std::vector<WhatIfResult> run_batch(const std::vector<Job>& jobs);
 
   [[nodiscard]] int threads() const noexcept { return threads_; }
@@ -181,6 +195,14 @@ class WhatIfEngine {
   [[nodiscard]] long long deadline_expired() const noexcept {
     return deadline_expired_.load(std::memory_order_relaxed);
   }
+  [[nodiscard]] long long rejected_invalid() const noexcept {
+    return rejected_invalid_.load(std::memory_order_relaxed);
+  }
+  /// Drill base planners built so far (one per region plan drilled, plus
+  /// rebuilds after an eviction).
+  [[nodiscard]] long long drill_bases_built() const noexcept {
+    return drill_bases_built_.load(std::memory_order_relaxed);
+  }
 
   /// Adds the engine's lifetime tallies to `dst` as fleet.queries.* series.
   void fold_into(obs::MetricsRegistry& dst) const;
@@ -194,6 +216,19 @@ class WhatIfEngine {
   std::atomic<long long> stale_served_{0};
   std::atomic<long long> rejected_quarantined_{0};
   std::atomic<long long> deadline_expired_{0};
+  std::atomic<long long> rejected_invalid_{0};
+  std::atomic<long long> drill_bases_built_{0};
+
+  struct DrillBase;  // one region plan's pristine planner (engine.cpp)
+  using PlanKey = std::pair<const fibermap::FiberMap*,
+                            const core::ProvisionedNetwork*>;
+
+  /// A copy of the snapshot plan's base planner, building the base first
+  /// if this is the plan's first drill.
+  core::IncrementalPlanner clone_drill_base(const RegionSnapshot& snap);
+
+  std::mutex bases_mu_;  // guards the lookup in bases_, never a build
+  std::map<PlanKey, std::shared_ptr<DrillBase>> bases_;
 };
 
 }  // namespace iris::fleet

@@ -27,6 +27,7 @@ const char* query_status_name(QueryStatus status) {
     case QueryStatus::kRegionQuarantined: return "quarantined";
     case QueryStatus::kDeadlineExpired: return "deadline_expired";
     case QueryStatus::kNoSnapshot: return "no_snapshot";
+    case QueryStatus::kInvalidQuery: return "invalid_query";
   }
   return "unknown";
 }
@@ -62,8 +63,8 @@ core::PlannerParams scratch_params(const RegionSnapshot& snap) {
 }
 
 void run_failure_drill(const RegionSnapshot& snap, const WhatIfQuery& q,
-                       WhatIfResult& r) {
-  core::IncrementalPlanner planner(*snap.map, scratch_params(snap));
+                       const DrillPlanner& drill_planner, WhatIfResult& r) {
+  core::IncrementalPlanner planner = drill_planner(snap);
   const core::PlanDiff diff = planner.cut_duct(q.duct);
   r.feasible = true;
   r.capacity_changes = static_cast<int>(diff.capacity_changes.size());
@@ -124,14 +125,30 @@ void run_slo_probe(const RegionSnapshot& snap, const WhatIfQuery& q,
 
 }  // namespace
 
+core::IncrementalPlanner build_drill_planner(const RegionSnapshot& snap) {
+  return core::IncrementalPlanner(*snap.map, scratch_params(snap));
+}
+
 WhatIfResult run_query(const RegionSnapshot& snap, const WhatIfQuery& query) {
+  return run_query(snap, query, build_drill_planner);
+}
+
+WhatIfResult run_query(const RegionSnapshot& snap, const WhatIfQuery& query,
+                       const DrillPlanner& drill_planner) {
   WhatIfResult r;
   r.kind = query.kind;
   r.region = snap.region;
   r.tick = snap.tick;
   r.version = snap.version;
+  if (query.kind == QueryKind::kFailureDrill &&
+      (query.duct < 0 || query.duct >= snap.map->graph().edge_count())) {
+    r.status = QueryStatus::kInvalidQuery;  // no planner work, no cache lookup
+    return r;
+  }
   switch (query.kind) {
-    case QueryKind::kFailureDrill: run_failure_drill(snap, query, r); break;
+    case QueryKind::kFailureDrill:
+      run_failure_drill(snap, query, drill_planner, r);
+      break;
     case QueryKind::kGrowth: run_growth(snap, query, r); break;
     case QueryKind::kSloProbe: run_slo_probe(snap, query, r); break;
   }

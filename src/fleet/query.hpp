@@ -8,9 +8,13 @@
 // threads = 1: the thread pool above (WhatIfEngine) is the parallelism.
 //
 // Taxonomy (the fleet's service surface, ROADMAP "what-if query engine"):
-//  * kFailureDrill -- cut a duct on a scratch IncrementalPlanner seeded from
-//    the snapshot's plan; report the reroute diff, disconnected pairs and
-//    fiber-cost delta.
+//  * kFailureDrill -- cut a duct on a scratch IncrementalPlanner holding the
+//    snapshot's plan; report the reroute diff, disconnected pairs and
+//    fiber-cost delta. run_query builds that planner from scratch (a full
+//    failure sweep); WhatIfEngine instead copies a pristine per-plan base it
+//    builds once, so a drill costs a copy plus the replan. Both give the
+//    same answer bit for bit. A duct outside the region's edge range is
+//    rejected kInvalidQuery before any planner work.
 //  * kGrowth -- site a new DC (core/expansion): siting-SLA reach check plus
 //    the full expansion replan and its fiber delta.
 //  * kSloProbe -- availability-SLO provisioning (core/slo) with cost
@@ -18,9 +22,11 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 
 #include "core/expansion.hpp"
+#include "core/replan.hpp"
 #include "fleet/snapshot.hpp"
 
 namespace iris::fleet {
@@ -43,6 +49,8 @@ enum class QueryStatus {
   kRegionQuarantined,  ///< region's crash budget exhausted: rejected
   kDeadlineExpired,    ///< the query's deadline budget elapsed before it ran
   kNoSnapshot,         ///< nothing published (and no shard to resolve one)
+  kInvalidQuery,       ///< malformed query, e.g. a drill duct that is not
+                       ///< an edge of the region
 };
 
 [[nodiscard]] const char* query_status_name(QueryStatus status);
@@ -55,7 +63,8 @@ struct WhatIfQuery {
   /// without running. <= 0 means no deadline.
   double deadline_ms = 0.0;
 
-  // kFailureDrill: the duct to cut (must be a valid edge of the region).
+  // kFailureDrill: the duct to cut; outside [0, edge_count) the query is
+  // rejected kInvalidQuery.
   graph::EdgeId duct = 0;
 
   // kGrowth: the candidate DC.
@@ -104,8 +113,23 @@ struct WhatIfResult {
   [[nodiscard]] std::uint64_t fingerprint() const;
 };
 
+/// Supplies the planner a failure drill cuts: one holding the snapshot's
+/// plan with no cuts, owned by the drill and discarded after it.
+using DrillPlanner =
+    std::function<core::IncrementalPlanner(const RegionSnapshot&)>;
+
+/// The cold DrillPlanner: plans the snapshot's region from scratch with the
+/// snapshot's own parameters, single-threaded.
+core::IncrementalPlanner build_drill_planner(const RegionSnapshot& snap);
+
 /// Executes one query against a pinned snapshot. Read-only on the snapshot;
 /// obs series land in whatever registry is bound on the calling thread.
+/// Failure drills cut a planner from build_drill_planner.
 WhatIfResult run_query(const RegionSnapshot& snap, const WhatIfQuery& query);
+
+/// As above, with a failure drill cutting the planner `drill_planner`
+/// returns. It is called at most once, and only for a valid drill.
+WhatIfResult run_query(const RegionSnapshot& snap, const WhatIfQuery& query,
+                       const DrillPlanner& drill_planner);
 
 }  // namespace iris::fleet

@@ -6,6 +6,8 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -268,6 +270,197 @@ TEST(FleetQuery, SloProbeReportsCostTriple) {
   EXPECT_LE(result.oversubscription, 2.0);
   if (result.slo_met) {
     EXPECT_GE(result.worst_availability, query.availability_slo);
+  }
+}
+
+/// One failure drill per duct of the snapshot's region, `passes` times over.
+std::vector<fleet::WhatIfEngine::Job> every_duct_drills(
+    const fleet::RegionSnapshot* snap, int passes) {
+  std::vector<fleet::WhatIfEngine::Job> jobs;
+  for (int pass = 0; pass < passes; ++pass) {
+    for (graph::EdgeId e = 0; e < snap->map->graph().edge_count(); ++e) {
+      fleet::WhatIfEngine::Job job;
+      job.snapshot = snap;
+      job.query.kind = fleet::QueryKind::kFailureDrill;
+      job.query.duct = e;
+      jobs.push_back(job);
+    }
+  }
+  return jobs;
+}
+
+// The engine's drills cut copies of one warm base planner; each must answer
+// exactly as the cold path (a planner built from scratch per drill), for
+// every duct, on repeat, whatever the pool size.
+TEST(FleetQuery, WarmDrillMatchesColdForEveryDuct) {
+  const auto params = small_fleet(1, 12);
+  fleet::Fleet fleet(params);
+  fleet.start();
+  fleet.join();
+  const auto snap = fleet.snapshot(0);
+  ASSERT_NE(snap, nullptr);
+
+  const auto jobs = every_duct_drills(snap, 2);
+  std::vector<std::string> cold;
+  for (const auto& job : jobs) {
+    cold.push_back(fleet::run_query(*snap, job.query).canonical());
+  }
+  for (const int threads : {1, 4}) {
+    fleet::WhatIfEngine engine(threads);
+    const auto warm = engine.run_batch(jobs);
+    ASSERT_EQ(warm.size(), jobs.size());
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      EXPECT_EQ(warm[i].status, fleet::QueryStatus::kOk);
+      EXPECT_EQ(warm[i].canonical(), cold[i])
+          << "threads " << threads << " duct " << jobs[i].query.duct;
+    }
+    EXPECT_EQ(engine.drill_bases_built(), 1) << "threads " << threads;
+  }
+}
+
+// Four workers whose first jobs all drill one region plan build its base
+// once; a second region gets a base of its own, and the tally is exported.
+TEST(FleetQuery, ConcurrentFirstDrillsBuildOneBase) {
+  const auto params = small_fleet(2, 8);
+  fleet::Fleet fleet(params);
+  fleet.start();
+  fleet.join();
+  ASSERT_NE(fleet.snapshot(0), nullptr);
+  ASSERT_NE(fleet.snapshot(1), nullptr);
+
+  fleet::WhatIfEngine engine(4);
+  const auto first = every_duct_drills(fleet.snapshot(0), 1);
+  ASSERT_GE(first.size(), 4u);
+  for (const auto& r : engine.run_batch(first)) {
+    EXPECT_EQ(r.status, fleet::QueryStatus::kOk);
+  }
+  EXPECT_EQ(engine.drill_bases_built(), 1);
+
+  auto mixed = every_duct_drills(fleet.snapshot(1), 1);
+  const auto again = every_duct_drills(fleet.snapshot(0), 1);
+  mixed.insert(mixed.end(), again.begin(), again.end());
+  for (const auto& r : engine.run_batch(mixed)) {
+    EXPECT_EQ(r.status, fleet::QueryStatus::kOk);
+  }
+  EXPECT_EQ(engine.drill_bases_built(), 2);
+
+  obs::MetricsRegistry folded;
+  engine.fold_into(folded);
+#ifndef IRIS_OBS_OFF
+  EXPECT_EQ(folded.counters().at("fleet.queries.drill_bases_built"), 2);
+  EXPECT_EQ(folded.counters().at("fleet.queries.rejected_invalid"), 0);
+#endif
+}
+
+// A base outlives nothing it serves: once its fleet is destroyed, the next
+// base the engine inserts (for a new fleet) drops it.
+TEST(FleetQuery, DeadFleetBaseIsEvictedOnNextInsert) {
+  const auto params = small_fleet(1, 8);
+  fleet::WhatIfEngine engine(2);
+  std::weak_ptr<const core::ProvisionedNetwork> dead_network;
+  std::string dead_answer;
+  {
+    fleet::Fleet old_fleet(params);
+    old_fleet.start();
+    old_fleet.join();
+    const auto snap = old_fleet.snapshot(0);
+    ASSERT_NE(snap, nullptr);
+    dead_network = snap->network;
+    dead_answer = engine.run_batch(every_duct_drills(snap, 1)).front().canonical();
+  }
+  // The cache entry alone keeps the dead plan alive...
+  EXPECT_FALSE(dead_network.expired());
+
+  fleet::Fleet new_fleet(params);
+  new_fleet.start();
+  new_fleet.join();
+  const auto snap = new_fleet.snapshot(0);
+  ASSERT_NE(snap, nullptr);
+  const auto results = engine.run_batch(every_duct_drills(snap, 1));
+  // ...until a new plan's base is inserted, which evicts it.
+  EXPECT_TRUE(dead_network.expired());
+  EXPECT_EQ(engine.drill_bases_built(), 2);
+  // Same config, same world: the rebuilt base answers as the dead one did.
+  EXPECT_EQ(results.front().canonical(), dead_answer);
+}
+
+// A drill duct outside the region's edge range is a structured rejection
+// on any pool size and batch shape, never an exception or an abort -- and
+// it is rejected before the engine builds or looks up a base.
+TEST(FleetQuery, InvalidDuctIsRejected) {
+  const auto params = small_fleet(1, 8);
+  fleet::Fleet fleet(params);
+  fleet.start();
+  fleet.join();
+  const auto snap = fleet.snapshot(0);
+  ASSERT_NE(snap, nullptr);
+  const graph::EdgeId edges = snap->map->graph().edge_count();
+
+  for (const graph::EdgeId bad : {graph::EdgeId{-1}, edges}) {
+    fleet::WhatIfQuery q;
+    q.kind = fleet::QueryKind::kFailureDrill;
+    q.duct = bad;
+    const auto direct = fleet::run_query(*snap, q);
+    EXPECT_EQ(direct.status, fleet::QueryStatus::kInvalidQuery);
+    EXPECT_FALSE(direct.feasible);
+  }
+
+  for (const int threads : {1, 4}) {
+    fleet::WhatIfEngine engine(threads);
+    fleet::WhatIfEngine::Job bad;
+    bad.snapshot = snap;
+    bad.query.kind = fleet::QueryKind::kFailureDrill;
+    bad.query.duct = edges;
+    // A lone invalid drill: rejected without any planner work.
+    const auto alone = engine.run_batch({bad});
+    ASSERT_EQ(alone.size(), 1u);
+    EXPECT_EQ(alone[0].status, fleet::QueryStatus::kInvalidQuery);
+    EXPECT_FALSE(alone[0].feasible);
+    EXPECT_EQ(engine.drill_bases_built(), 0);
+
+    // Invalid drills mixed into a larger batch, valid ones still answered.
+    fleet::WhatIfEngine::Job negative = bad;
+    negative.query.duct = -1;
+    fleet::WhatIfEngine::Job good = bad;
+    good.query.duct = 0;
+    const std::vector<fleet::WhatIfEngine::Job> jobs{negative, good, bad,
+                                                     good,     negative, bad};
+    const auto results = engine.run_batch(jobs);
+    ASSERT_EQ(results.size(), jobs.size());
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      const bool valid = jobs[i].query.duct == 0;
+      EXPECT_EQ(results[i].status, valid ? fleet::QueryStatus::kOk
+                                         : fleet::QueryStatus::kInvalidQuery)
+          << "threads " << threads << " i=" << i;
+      EXPECT_EQ(results[i].feasible, valid);
+    }
+    EXPECT_EQ(engine.rejected_invalid(), 5) << "threads " << threads;
+    EXPECT_EQ(engine.total(), 2);
+  }
+}
+
+// A query that throws inside a worker thread surfaces as an exception from
+// run_batch on the calling thread, after every worker joined.
+TEST(FleetQuery, WorkerExceptionRethrownAfterJoin) {
+  const auto params = small_fleet(1, 8);
+  fleet::Fleet fleet(params);
+  fleet.start();
+  fleet.join();
+  const auto snap = fleet.snapshot(0);
+  ASSERT_NE(snap, nullptr);
+
+  fleet::WhatIfEngine::Job drill;
+  drill.snapshot = snap;
+  drill.query.kind = fleet::QueryKind::kFailureDrill;
+  fleet::WhatIfEngine::Job broken;
+  broken.snapshot = snap;
+  broken.query.kind = fleet::QueryKind::kSloProbe;
+  broken.query.availability_slo = 2.0;  // provisioning rejects SLOs above 1
+  for (const int threads : {1, 2, 4}) {
+    fleet::WhatIfEngine engine(threads);
+    EXPECT_THROW((void)engine.run_batch({drill, broken, drill, broken}),
+                 std::invalid_argument)
+        << "threads " << threads;
   }
 }
 

@@ -239,6 +239,65 @@ TEST(Replan, OracleModeCrossChecksEveryReplan) {
   EXPECT_TRUE(core::same_plan(planner.current(), initial));
 }
 
+void expect_same_diff(const core::PlanDiff& got, const core::PlanDiff& want) {
+  EXPECT_EQ(got.capacity_changes, want.capacity_changes);
+  EXPECT_EQ(got.path_changes, want.path_changes);
+  EXPECT_EQ(got.new_scenarios_evaluated, want.new_scenarios_evaluated);
+  EXPECT_EQ(got.new_scenarios_pruned, want.new_scenarios_pruned);
+  EXPECT_EQ(got.new_pairs_unreachable, want.new_pairs_unreachable);
+  EXPECT_EQ(got.new_pairs_beyond_sla, want.new_pairs_beyond_sla);
+}
+
+TEST(Replan, CopyIsIndependentAndBitIdentical) {
+  const auto map = small_region(4);
+  const auto params = small_params(2);
+  core::IncrementalPlanner original(map, params);
+  const core::ProvisionedNetwork initial = original.current();
+  const EdgeId first = busiest_duct(initial);
+  const EdgeId second = first == 0 ? 1 : 0;
+  const auto provision_with = [&](std::vector<EdgeId> cuts) {
+    auto p = params;
+    p.cut_ducts = std::move(cuts);
+    return core::provision(map, p);
+  };
+
+  // A copy of the pristine planner answers a cut exactly as the original.
+  core::IncrementalPlanner pristine_copy(original);
+  EXPECT_TRUE(core::same_plan(pristine_copy.current(), initial));
+  const core::PlanDiff copy_cut = pristine_copy.cut_duct(first);
+  const core::PlanDiff orig_cut = original.cut_duct(first);
+  expect_same_diff(copy_cut, orig_cut);
+  EXPECT_TRUE(core::same_plan(pristine_copy.current(), original.current()));
+  EXPECT_TRUE(core::same_plan(original.current(), provision_with({first})));
+  EXPECT_EQ(pristine_copy.cut_ducts(), original.cut_ducts());
+
+  // A copy made after a live cut carries it, and the next cut agrees too.
+  core::IncrementalPlanner cut_copy(original);
+  EXPECT_EQ(cut_copy.cut_ducts(), std::vector<EdgeId>{first});
+  expect_same_diff(cut_copy.cut_duct(second), original.cut_duct(second));
+  EXPECT_TRUE(core::same_plan(cut_copy.current(), original.current()));
+  EXPECT_TRUE(
+      core::same_plan(original.current(), provision_with({first, second})));
+
+  // Cutting and repairing a copy leaves the original untouched.
+  const core::ProvisionedNetwork held = original.current();
+  const std::vector<EdgeId> held_cuts = original.cut_ducts();
+  core::IncrementalPlanner scratch(original);
+  (void)scratch.repair_duct(first);
+  EdgeId third = 0;
+  while (third == first || third == second) ++third;
+  (void)scratch.cut_duct(third);
+  EXPECT_TRUE(core::same_plan(scratch.current(), provision_with({second, third})));
+  EXPECT_TRUE(core::same_plan(original.current(), held));
+  EXPECT_EQ(original.cut_ducts(), held_cuts);
+
+  // And the original still replans exactly after its copies diverged.
+  (void)original.repair_duct(second);
+  (void)original.repair_duct(first);
+  EXPECT_TRUE(core::same_plan(original.current(), initial));
+  EXPECT_TRUE(original.cut_ducts().empty());
+}
+
 TEST(PlanDiff, RejectsDiffAgainstWrongBase) {
   const auto map = small_region(4);
   const auto params = small_params(1);
