@@ -112,8 +112,10 @@ void BM_FailureEnumeration(benchmark::State& state) {
   const auto map = bench::make_eval_region(11, 10, 8);
   for (auto _ : state) {
     long long count = 0;
-    core::for_each_scenario(map, bench::eval_params(2, 40),
-                            [&](const graph::EdgeMask&) { ++count; });
+    core::planner_scenarios(map, bench::eval_params(2, 40))
+        .for_each([&](const graph::EdgeMask&, std::span<const graph::EdgeId>) {
+          ++count;
+        });
     benchmark::DoNotOptimize(count);
   }
 }
@@ -147,6 +149,30 @@ void BM_FullProvisionParallel(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FullProvisionParallel)
+    ->Args({10, 2})
+    ->Args({20, 2})
+    ->Unit(benchmark::kMillisecond);
+
+/// Appendix A placement alone on a provisioned region, single-threaded.
+/// The counters are the run's deterministic work: scenarios routed, DC-pair
+/// paths seen across them, and the distinct paths among those.
+void BM_AmpCut(benchmark::State& state) {
+  const auto map =
+      bench::make_eval_region(11, static_cast<int>(state.range(0)), 8);
+  auto params = bench::eval_params(static_cast<int>(state.range(1)), 40);
+  params.threads = 1;
+  const auto net = core::provision(map, params);
+  core::AmpCutStats stats;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        core::place_amplifiers_and_cutthroughs(map, net, &stats));
+  }
+  state.counters["scenarios"] = static_cast<double>(stats.scenarios);
+  state.counters["pair_paths"] = static_cast<double>(stats.pair_paths);
+  state.counters["distinct_paths"] = static_cast<double>(stats.distinct_paths);
+}
+BENCHMARK(BM_AmpCut)
+    ->Args({5, 1})
     ->Args({10, 2})
     ->Args({20, 2})
     ->Unit(benchmark::kMillisecond);

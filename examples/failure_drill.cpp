@@ -43,7 +43,9 @@ int main(int argc, char** argv) {
   // with its worst surviving path across all scenarios.
   const auto& dcs = map.dcs();
   std::vector<double> stretch;
-  core::for_each_scenario(map, params, [&](const graph::EdgeMask& mask) {
+  const graph::ScenarioSet scenarios = core::planner_scenarios(map, params);
+  scenarios.for_each([&](const graph::EdgeMask& mask,
+                         std::span<const graph::EdgeId>) {
     for (std::size_t i = 0; i < dcs.size(); ++i) {
       const auto tree = graph::dijkstra(map.graph(), dcs[i], mask);
       for (std::size_t j = i + 1; j < dcs.size(); ++j) {

@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <limits>
+#include <map>
+#include <span>
+#include <unordered_map>
 
-#include "core/path_physics.hpp"
 #include "graph/hose.hpp"
+#include "graph/incremental.hpp"
 
 namespace iris::core {
 
@@ -45,33 +48,10 @@ bool contains_run(const std::vector<NodeId>& hay,
   return false;
 }
 
-struct NeedyPath {
-  DcPair pair;
-  graph::Path path;
-};
-
-/// Per-scenario DC-pair paths (skipping unreachable pairs).
-std::vector<NeedyPath> scenario_paths(const fibermap::FiberMap& map,
-                                      const graph::EdgeMask& mask) {
-  const auto& dcs = map.dcs();
-  std::vector<NeedyPath> out;
-  std::vector<graph::ShortestPathTree> trees;
-  trees.reserve(dcs.size());
-  for (NodeId dc : dcs) trees.push_back(graph::dijkstra(map.graph(), dc, mask));
-  for (std::size_t i = 0; i < dcs.size(); ++i) {
-    for (std::size_t j = i + 1; j < dcs.size(); ++j) {
-      auto path = graph::extract_path(trees[i], dcs[j]);
-      if (!path) continue;
-      out.push_back(NeedyPath{DcPair(dcs[i], dcs[j]), std::move(*path)});
-    }
-  }
-  return out;
-}
-
 }  // namespace
 
-std::set<NodeId> AmpCutPlan::bypassed_sites(const graph::Path& path) const {
-  std::set<NodeId> out;
+SiteSet AmpCutPlan::bypassed_sites(const graph::Path& path) const {
+  SiteSet out;
   for (const CutThrough& ct : cut_throughs) {
     if (!contains_run(path.nodes, ct.nodes)) continue;
     for (std::size_t i = 1; i + 1 < ct.nodes.size(); ++i) {
@@ -84,26 +64,27 @@ std::set<NodeId> AmpCutPlan::bypassed_sites(const graph::Path& path) const {
 bool path_feasible_with_plan(const graph::Graph& g, const graph::Path& path,
                              const AmpCutPlan& plan,
                              const optical::OpticalSpec& spec,
-                             const std::set<NodeId>* extra_bypassed) {
+                             const SiteSet* extra_bypassed) {
   // A path *may* ride any subset of the cut-throughs matching its route --
   // riding one bypasses that corridor's OSS but also forfeits amplification
   // inside it (the fiber is uninterrupted). Try every subset; corridors are
   // few per path. `extra_bypassed` models a mandatory hypothetical corridor.
-  std::vector<std::set<NodeId>> corridors;
+  std::vector<SiteSet> corridors;
   for (const CutThrough& ct : plan.cut_throughs) {
     if (!contains_run(path.nodes, ct.nodes)) continue;
-    std::set<NodeId> interiors(ct.nodes.begin() + 1, ct.nodes.end() - 1);
-    corridors.push_back(std::move(interiors));
+    SiteSet& interiors = corridors.emplace_back();
+    for (std::size_t i = 1; i + 1 < ct.nodes.size(); ++i) {
+      interiors.insert(ct.nodes[i]);
+    }
     if (corridors.size() >= 8) break;  // 2^8 subsets is plenty
   }
   const std::size_t subsets = std::size_t{1} << corridors.size();
+  SiteSet bypassed;
   for (std::size_t mask = 0; mask < subsets; ++mask) {
-    std::set<NodeId> bypassed;
-    if (extra_bypassed) bypassed = *extra_bypassed;
+    bypassed.clear();
+    if (extra_bypassed) bypassed |= *extra_bypassed;
     for (std::size_t c = 0; c < corridors.size(); ++c) {
-      if (mask & (std::size_t{1} << c)) {
-        bypassed.insert(corridors[c].begin(), corridors[c].end());
-      }
+      if (mask & (std::size_t{1} << c)) bypassed |= corridors[c];
     }
     if (path_feasible(g, path, std::nullopt, bypassed, spec)) return true;
     for (int m : feasible_amp_indices(g, path, bypassed, spec)) {
@@ -115,6 +96,176 @@ bool path_feasible_with_plan(const graph::Graph& g, const graph::Path& path,
 
 namespace {
 
+/// A distinct DC-pair route that some scenario takes.
+struct RoutedPath {
+  DcPair pair;
+  std::size_t pair_index = 0;  ///< position of `pair` in (i, j) DC order
+  graph::Path path;
+
+  // Facts that do not depend on the plan.
+  bool beyond_sla = false;  ///< longer than the SLA bound (OC1)
+  bool unaided = false;     ///< closes its power budget with no help
+  /// Sites where one amplifier closes the budget with nothing bypassed.
+  std::vector<NodeId> amp_sites;
+
+  // Stage 2 memo. The plan only gains amplifiers and corridors, so a path
+  // feasible once stays feasible; an infeasible verdict holds until the
+  // plan's next change (see Placer::revision_).
+  bool feasible = false;
+  long long infeasible_at = -1;
+};
+
+struct WordsHash {
+  std::size_t operator()(const std::vector<std::uint64_t>& words) const {
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (std::uint64_t w : words) h = (h ^ w) * 0x100000001b3ULL;
+    return static_cast<std::size_t>(h);
+  }
+};
+
+/// Both greedy stages over one region. Stage 1 runs scenario by scenario
+/// inside the routing sweep, which also records each scenario's paths that
+/// stage 2 may have to fix; stage 2 replays those records in a second sweep
+/// over the same scenarios, in the same order.
+class Placer {
+ public:
+  Placer(const fibermap::FiberMap& map, const ProvisionedNetwork& net,
+         AmpCutPlan& plan)
+      : map_(map), g_(map.graph()), spec_(net.params.spec), plan_(plan) {
+    const std::size_t n = map.dcs().size();
+    by_pair_.resize(n * (n - 1) / 2);
+    pair_words_ = (by_pair_.size() + 63) / 64;
+  }
+
+  AmpCutStats run(const PlannerParams& params);
+
+ private:
+  graph::Capacity cap_fibers(NodeId dc) const {
+    return map_.site(dc).capacity_fibers;
+  }
+  int intern(const graph::ShortestPathTree& tree, std::size_t pair_index,
+             NodeId target);
+  graph::Capacity site_load(const std::vector<RoutedPath*>& pool,
+                            const std::vector<std::size_t>& members);
+  void amplify(std::span<const int> ids);
+  void cut_through(std::span<const int> ids);
+  bool feasible(RoutedPath& p);
+
+  const fibermap::FiberMap& map_;
+  const graph::Graph& g_;
+  const optical::OpticalSpec& spec_;
+  AmpCutPlan& plan_;
+  /// Bumped on every stage 2 change to the plan; stamps infeasible verdicts.
+  long long revision_ = 0;
+  std::vector<RoutedPath> paths_;
+  std::vector<std::vector<int>> by_pair_;  ///< path ids per DC pair
+  std::vector<EdgeId> walk_;               ///< scratch for intern()
+  /// Hose loads by DC-pair set (a bitset over pair indices).
+  std::unordered_map<std::vector<std::uint64_t>, graph::Capacity, WordsHash>
+      loads_;
+  std::size_t pair_words_ = 0;
+  std::vector<std::uint64_t> load_key_;  ///< scratch for site_load()
+  /// Corridor key -> index into plan.cut_throughs, to grow rather than
+  /// duplicate a cut-through that later scenarios need at higher capacity.
+  std::map<std::vector<NodeId>, std::size_t> corridor_index_;
+};
+
+/// The id of the tree's path to `target`, interning it on first sight.
+int Placer::intern(const graph::ShortestPathTree& tree, std::size_t pair_index,
+                   NodeId target) {
+  walk_.clear();
+  for (NodeId cur = target; cur != tree.source; cur = tree.parent_node[cur]) {
+    walk_.push_back(tree.parent_edge[cur]);
+  }
+  std::reverse(walk_.begin(), walk_.end());
+  auto& ids = by_pair_[pair_index];
+  for (int id : ids) {
+    if (paths_[static_cast<std::size_t>(id)].path.edges == walk_) return id;
+  }
+  const int id = static_cast<int>(paths_.size());
+  ids.push_back(id);
+  RoutedPath& p = paths_.emplace_back();
+  p.pair = DcPair(tree.source, target);
+  p.pair_index = pair_index;
+  p.path = *graph::extract_path(tree, target);
+  p.beyond_sla = p.path.length_km > spec_.max_path_km;
+  p.unaided = path_feasible(g_, p.path, std::nullopt, {}, spec_);
+  for (int m : feasible_amp_indices(g_, p.path, {}, spec_)) {
+    p.amp_sites.push_back(p.path.nodes[m]);
+  }
+  return id;
+}
+
+AmpCutStats Placer::run(const PlannerParams& params) {
+  const auto& dcs = map_.dcs();
+  const graph::ScenarioSet scenarios = planner_scenarios(map_, params);
+  // Canonical trees: identical to a cold Dijkstra per DC under each mask.
+  graph::PrefixRouter router(g_, dcs, scenarios.base_mask());
+  AmpCutStats stats;
+  std::vector<int> ids;
+  std::vector<int> hard;          // stage 2's paths, scenario by scenario
+  std::vector<std::size_t> ends;  // end of each scenario's run in `hard`
+  scenarios.for_each([&](const graph::EdgeMask&,
+                         std::span<const graph::EdgeId> failed) {
+    router.sync(failed);
+    ids.clear();
+    std::size_t pair_index = 0;
+    for (std::size_t i = 0; i < dcs.size(); ++i) {
+      const graph::ShortestPathTree& tree = router.tree(i);
+      for (std::size_t j = i + 1; j < dcs.size(); ++j, ++pair_index) {
+        if (tree.reachable(dcs[j])) {
+          ids.push_back(intern(tree, pair_index, dcs[j]));
+        }
+      }
+    }
+    ++stats.scenarios;
+    stats.pair_paths += static_cast<long long>(ids.size());
+    amplify(ids);
+    // Paths over the SLA bound are counted by stage 1 and feasible ones
+    // stay feasible: neither can leave stage 2 anything to do.
+    for (int id : ids) {
+      const RoutedPath& p = paths_[static_cast<std::size_t>(id)];
+      if (!p.beyond_sla && !p.unaided) hard.push_back(id);
+    }
+    ends.push_back(hard.size());
+  });
+  // Stage 2 is a second sweep over the same scenarios in the same order
+  // (the sweep.* metrics count it), replaying the recorded paths instead of
+  // routing again.
+  std::size_t scenario = 0;
+  scenarios.for_each([&](const graph::EdgeMask&,
+                         std::span<const graph::EdgeId>) {
+    const std::size_t from = scenario == 0 ? 0 : ends[scenario - 1];
+    cut_through(std::span<const int>(hard).subspan(from, ends[scenario] - from));
+    ++scenario;
+  });
+  stats.distinct_paths = static_cast<long long>(paths_.size());
+  return stats;
+}
+
+/// hose_site_load over the DC pairs of `pool[members]`. The load is a pure
+/// function of the pair set, and scenarios keep asking for the same sets,
+/// so it is memoized by that set.
+graph::Capacity Placer::site_load(const std::vector<RoutedPath*>& pool,
+                                  const std::vector<std::size_t>& members) {
+  load_key_.assign(pair_words_, 0);
+  for (std::size_t i : members) {
+    const std::size_t k = pool[i]->pair_index;
+    load_key_[k / 64] |= std::uint64_t{1} << (k % 64);
+  }
+  auto [it, inserted] = loads_.try_emplace(load_key_, 0);
+  if (inserted) {
+    std::vector<graph::OrientedPair> pairs;
+    pairs.reserve(members.size());
+    for (std::size_t i : members) {
+      pairs.push_back({pool[i]->pair.a, pool[i]->pair.b});
+    }
+    it->second = graph::hose_site_load(
+        pairs, [this](NodeId dc) { return cap_fibers(dc); });
+  }
+  return it->second;
+}
+
 // --- Stage 1: amplifiers (Appendix A, Algorithm 2) -------------------------
 //
 // A path is "needy" if its power budget does not close unaided. Candidate
@@ -122,72 +273,54 @@ namespace {
 // closes the whole budget. Locations are scored by paths resolved per
 // amplifier that would have to be added; the amplifier count per site is the
 // hose-model worst case over the paths amplified there, in fibers.
-void place_amplifiers_stage(const fibermap::FiberMap& map,
-                            const ProvisionedNetwork& net, AmpCutPlan& plan) {
-  const graph::Graph& g = map.graph();
-  const optical::OpticalSpec& spec = net.params.spec;
-  const auto cap_fibers = [&](NodeId dc) -> graph::Capacity {
-    return map.site(dc).capacity_fibers;
-  };
+void Placer::amplify(std::span<const int> ids) {
+  std::vector<RoutedPath*> needy;
+  for (int id : ids) {
+    RoutedPath& p = paths_[static_cast<std::size_t>(id)];
+    // Detours beyond the SLA bound are out of contract (OC1) and out of
+    // reach for one in-line amplifier (TC2): record, don't provision.
+    if (p.beyond_sla) {
+      ++plan_.beyond_sla_paths;
+      continue;
+    }
+    // Paths no single amplifier can fix are left to the cut-through stage.
+    if (p.unaided || p.amp_sites.empty()) continue;
+    needy.push_back(&p);
+  }
 
-  for_each_scenario(map, net.params, [&](const graph::EdgeMask& mask) {
-    std::vector<NeedyPath> needy;
-    for (auto& np : scenario_paths(map, mask)) {
-      // Detours beyond the SLA bound are out of contract (OC1) and out of
-      // reach for one in-line amplifier (TC2): record, don't provision.
-      if (np.path.length_km > spec.max_path_km) {
-        ++plan.beyond_sla_paths;
-        continue;
-      }
-      if (path_feasible(g, np.path, std::nullopt, {}, spec)) continue;
-      // Paths no single amplifier can fix are left to the cut-through stage.
-      if (feasible_amp_indices(g, np.path, {}, spec).empty()) continue;
-      needy.push_back(std::move(np));
+  while (!needy.empty()) {
+    std::map<NodeId, std::vector<std::size_t>> candidates;
+    for (std::size_t i = 0; i < needy.size(); ++i) {
+      for (NodeId loc : needy[i]->amp_sites) candidates[loc].push_back(i);
     }
 
-    while (!needy.empty()) {
-      std::map<NodeId, std::vector<std::size_t>> candidates;
-      for (std::size_t i = 0; i < needy.size(); ++i) {
-        for (int m : feasible_amp_indices(g, needy[i].path, {}, spec)) {
-          candidates[needy[i].path.nodes[m]].push_back(i);
-        }
+    NodeId best_loc = graph::kInvalidNode;
+    double best_score = -1.0;
+    graph::Capacity best_noa = 0;
+    for (const auto& [loc, resolved] : candidates) {
+      // One amplifier amplifies one fiber: size the site by the hose-model
+      // worst case over the paths amplified here.
+      const graph::Capacity noa = site_load(needy, resolved);
+      const graph::Capacity ntbp =
+          std::max<graph::Capacity>(0, noa - plan_.amps_at_node[loc]);
+      const double score =
+          ntbp == 0 ? std::numeric_limits<double>::max()
+                    : static_cast<double>(resolved.size()) /
+                          static_cast<double>(ntbp);
+      if (score > best_score || (score == best_score && loc < best_loc)) {
+        best_score = score;
+        best_loc = loc;
+        best_noa = noa;
       }
-
-      NodeId best_loc = graph::kInvalidNode;
-      double best_score = -1.0;
-      graph::Capacity best_noa = 0;
-      for (const auto& [loc, resolved] : candidates) {
-        std::vector<graph::OrientedPair> pairs;
-        pairs.reserve(resolved.size());
-        for (std::size_t i : resolved) {
-          pairs.push_back({needy[i].pair.a, needy[i].pair.b});
-        }
-        // One amplifier amplifies one fiber: size the site by the hose-model
-        // worst case over the paths amplified here.
-        const graph::Capacity noa = graph::hose_site_load(pairs, cap_fibers);
-        const graph::Capacity ntbp =
-            std::max<graph::Capacity>(0, noa - plan.amps_at_node[loc]);
-        const double score =
-            ntbp == 0 ? std::numeric_limits<double>::max()
-                      : static_cast<double>(resolved.size()) /
-                            static_cast<double>(ntbp);
-        if (score > best_score || (score == best_score && loc < best_loc)) {
-          best_score = score;
-          best_loc = loc;
-          best_noa = noa;
-        }
-      }
-
-      plan.amps_at_node[best_loc] = std::max<int>(
-          plan.amps_at_node[best_loc], static_cast<int>(best_noa));
-      std::erase_if(needy, [&](const NeedyPath& np) {
-        for (int m : feasible_amp_indices(g, np.path, {}, spec)) {
-          if (np.path.nodes[m] == best_loc) return true;
-        }
-        return false;
-      });
     }
-  });
+
+    plan_.amps_at_node[best_loc] = std::max<int>(
+        plan_.amps_at_node[best_loc], static_cast<int>(best_noa));
+    std::erase_if(needy, [&](const RoutedPath* p) {
+      return std::find(p->amp_sites.begin(), p->amp_sites.end(), best_loc) !=
+             p->amp_sites.end();
+    });
+  }
 }
 
 // --- Stage 2: cut-through links (Appendix A) -------------------------------
@@ -195,131 +328,127 @@ void place_amplifiers_stage(const fibermap::FiberMap& map,
 // Any path still infeasible given the placed amplifiers gets OSS traversals
 // removed by leasing uninterrupted fiber across a corridor of its route.
 // Candidates are scored by paths resolved per fiber-span leased.
-void place_cutthroughs_stage(const fibermap::FiberMap& map,
-                             const ProvisionedNetwork& net, AmpCutPlan& plan) {
-  const graph::Graph& g = map.graph();
-  const optical::OpticalSpec& spec = net.params.spec;
-  const auto cap_fibers = [&](NodeId dc) -> graph::Capacity {
-    return map.site(dc).capacity_fibers;
-  };
-  // Corridor key -> index into plan.cut_throughs, to grow rather than
-  // duplicate a cut-through that later scenarios need at higher capacity.
-  std::map<std::vector<NodeId>, std::size_t> corridor_index;
 
-  for_each_scenario(map, net.params, [&](const graph::EdgeMask& mask) {
-    std::vector<NeedyPath> open;
-    for (auto& np : scenario_paths(map, mask)) {
-      if (np.path.length_km > spec.max_path_km) continue;  // counted above
-      if (!path_feasible_with_plan(g, np.path, plan, spec)) {
-        open.push_back(std::move(np));
-      }
-    }
+/// path_feasible_with_plan, memoized across scenarios.
+bool Placer::feasible(RoutedPath& p) {
+  if (p.feasible) return true;
+  if (p.infeasible_at == revision_) return false;
+  p.feasible = path_feasible_with_plan(g_, p.path, plan_, spec_);
+  p.infeasible_at = revision_;
+  return p.feasible;
+}
 
-    while (!open.empty()) {
-      struct Candidate {
-        std::vector<EdgeId> ducts;
-        std::vector<std::size_t> resolves;
-      };
-      // A corridor candidate resolves a path if, once its interior OSS are
-      // bypassed, the budget closes -- possibly with a *new* amplifier at a
-      // surviving interior site (amplifiers are placed below as needed).
-      const auto resolvable = [&](const graph::Path& path,
-                                  const std::set<NodeId>& extra) {
-        if (path_feasible_with_plan(g, path, plan, spec, &extra)) return true;
-        auto combined = plan.bypassed_sites(path);
-        combined.insert(extra.begin(), extra.end());
-        return !feasible_amp_indices(g, path, combined, spec).empty();
-      };
-      std::map<std::vector<NodeId>, Candidate> candidates;
-      for (std::size_t i = 0; i < open.size(); ++i) {
-        const auto& path = open[i].path;
-        const int last = static_cast<int>(path.nodes.size()) - 1;
-        for (int a = 0; a <= last - 2; ++a) {
-          for (int b = a + 2; b <= last; ++b) {
-            std::set<NodeId> extra;
-            for (int k = a + 1; k < b; ++k) extra.insert(path.nodes[k]);
-            if (!resolvable(path, extra)) continue;
-            std::vector<NodeId> key(path.nodes.begin() + a,
-                                    path.nodes.begin() + b + 1);
-            std::vector<EdgeId> ducts(path.edges.begin() + a,
-                                      path.edges.begin() + b);
-            if (key.back() < key.front()) {
-              std::reverse(key.begin(), key.end());
-              std::reverse(ducts.begin(), ducts.end());
-            }
-            auto [it, inserted] =
-                candidates.try_emplace(std::move(key), Candidate{});
-            if (inserted) it->second.ducts = std::move(ducts);
-            it->second.resolves.push_back(i);
+void Placer::cut_through(std::span<const int> ids) {
+  std::vector<RoutedPath*> open;
+  for (int id : ids) {
+    RoutedPath& p = paths_[static_cast<std::size_t>(id)];
+    if (!feasible(p)) open.push_back(&p);
+  }
+
+  while (!open.empty()) {
+    struct Candidate {
+      std::vector<EdgeId> ducts;
+      std::vector<std::size_t> resolves;
+    };
+    // A corridor candidate resolves a path if, once its interior OSS are
+    // bypassed, the budget closes -- possibly with a *new* amplifier at a
+    // surviving interior site (amplifiers are placed below as needed).
+    SiteSet extra;
+    SiteSet combined;
+    const auto resolvable = [&](const graph::Path& path) {
+      if (path_feasible_with_plan(g_, path, plan_, spec_, &extra)) return true;
+      combined = plan_.bypassed_sites(path);
+      combined |= extra;
+      return !feasible_amp_indices(g_, path, combined, spec_).empty();
+    };
+    std::map<std::vector<NodeId>, Candidate> candidates;
+    for (std::size_t i = 0; i < open.size(); ++i) {
+      const graph::Path& path = open[i]->path;
+      const int last = static_cast<int>(path.nodes.size()) - 1;
+      for (int a = 0; a <= last - 2; ++a) {
+        for (int b = a + 2; b <= last; ++b) {
+          extra.clear();
+          for (int k = a + 1; k < b; ++k) extra.insert(path.nodes[k]);
+          if (!resolvable(path)) continue;
+          std::vector<NodeId> key(path.nodes.begin() + a,
+                                  path.nodes.begin() + b + 1);
+          std::vector<EdgeId> ducts(path.edges.begin() + a,
+                                    path.edges.begin() + b);
+          if (key.back() < key.front()) {
+            std::reverse(key.begin(), key.end());
+            std::reverse(ducts.begin(), ducts.end());
           }
+          auto [it, inserted] =
+              candidates.try_emplace(std::move(key), Candidate{});
+          if (inserted) it->second.ducts = std::move(ducts);
+          it->second.resolves.push_back(i);
         }
       }
-      if (candidates.empty()) {
-        plan.unresolved_paths += static_cast<long long>(open.size());
-        break;
-      }
-
-      const std::vector<NodeId>* best_key = nullptr;
-      const Candidate* best_cand = nullptr;
-      double best_score = -1.0;
-      graph::Capacity best_fibers = 0;
-      for (const auto& [key, cand] : candidates) {
-        std::vector<graph::OrientedPair> pairs;
-        for (std::size_t i : cand.resolves) {
-          pairs.push_back({open[i].pair.a, open[i].pair.b});
-        }
-        const graph::Capacity fibers = graph::hose_site_load(pairs, cap_fibers);
-        const double fiber_spans =
-            static_cast<double>(fibers) * static_cast<double>(cand.ducts.size());
-        const double score = static_cast<double>(cand.resolves.size()) /
-                             std::max(1.0, fiber_spans);
-        if (score > best_score) {
-          best_score = score;
-          best_key = &key;
-          best_cand = &cand;
-          best_fibers = fibers;
-        }
-      }
-
-      auto [it, inserted] =
-          corridor_index.try_emplace(*best_key, plan.cut_throughs.size());
-      if (inserted) {
-        plan.cut_throughs.push_back(CutThrough{
-            *best_key, best_cand->ducts, static_cast<int>(best_fibers)});
-      } else {
-        CutThrough& existing = plan.cut_throughs[it->second];
-        existing.fiber_pairs =
-            std::max(existing.fiber_pairs, static_cast<int>(best_fibers));
-      }
-
-      // Top up amplifiers for paths the new corridor unlocked: feasible only
-      // with an amplifier at a site that has none yet.
-      for (const NeedyPath& np : open) {
-        if (path_feasible_with_plan(g, np.path, plan, spec)) continue;
-        const auto bypassed = plan.bypassed_sites(np.path);
-        const auto sites = feasible_amp_indices(g, np.path, bypassed, spec);
-        if (sites.empty()) continue;
-        const NodeId loc = np.path.nodes[sites.front()];
-        const int need = static_cast<int>(std::min(
-            cap_fibers(np.pair.a), cap_fibers(np.pair.b)));
-        plan.amps_at_node[loc] = std::max(plan.amps_at_node[loc], need);
-      }
-
-      std::erase_if(open, [&](const NeedyPath& np) {
-        return path_feasible_with_plan(g, np.path, plan, spec);
-      });
     }
-  });
+    if (candidates.empty()) {
+      plan_.unresolved_paths += static_cast<long long>(open.size());
+      break;
+    }
+
+    const std::vector<NodeId>* best_key = nullptr;
+    const Candidate* best_cand = nullptr;
+    double best_score = -1.0;
+    graph::Capacity best_fibers = 0;
+    for (const auto& [key, cand] : candidates) {
+      const graph::Capacity fibers = site_load(open, cand.resolves);
+      const double fiber_spans = static_cast<double>(fibers) *
+                                 static_cast<double>(cand.ducts.size());
+      const double score = static_cast<double>(cand.resolves.size()) /
+                           std::max(1.0, fiber_spans);
+      if (score > best_score) {
+        best_score = score;
+        best_key = &key;
+        best_cand = &cand;
+        best_fibers = fibers;
+      }
+    }
+
+    auto [it, inserted] =
+        corridor_index_.try_emplace(*best_key, plan_.cut_throughs.size());
+    if (inserted) {
+      plan_.cut_throughs.push_back(CutThrough{
+          *best_key, best_cand->ducts, static_cast<int>(best_fibers)});
+    } else {
+      CutThrough& existing = plan_.cut_throughs[it->second];
+      existing.fiber_pairs =
+          std::max(existing.fiber_pairs, static_cast<int>(best_fibers));
+    }
+    ++revision_;
+
+    // Top up amplifiers for paths the new corridor unlocked: feasible only
+    // with an amplifier at a site that has none yet.
+    for (RoutedPath* p : open) {
+      if (feasible(*p)) continue;
+      const auto sites =
+          feasible_amp_indices(g_, p->path, plan_.bypassed_sites(p->path), spec_);
+      if (sites.empty()) continue;
+      const NodeId loc = p->path.nodes[sites.front()];
+      const int need = static_cast<int>(
+          std::min(cap_fibers(p->pair.a), cap_fibers(p->pair.b)));
+      if (need > plan_.amps_at_node[loc]) {
+        plan_.amps_at_node[loc] = need;
+        ++revision_;
+      }
+    }
+
+    std::erase_if(open, [&](RoutedPath* p) { return feasible(*p); });
+  }
 }
 
 }  // namespace
 
 AmpCutPlan place_amplifiers_and_cutthroughs(const fibermap::FiberMap& map,
-                                            const ProvisionedNetwork& net) {
+                                            const ProvisionedNetwork& net,
+                                            AmpCutStats* stats) {
   AmpCutPlan plan;
   plan.amps_at_node.assign(map.graph().node_count(), 0);
-  place_amplifiers_stage(map, net, plan);
-  place_cutthroughs_stage(map, net, plan);
+  const AmpCutStats run = Placer(map, net, plan).run(net.params);
+  if (stats) *stats = run;
   return plan;
 }
 

@@ -11,12 +11,18 @@
 // OSS at intermediate sites -- until every path also closes its per-segment
 // power budget (TC4). Candidates are scored by paths resolved per unit of
 // additional fiber leased.
+//
+// Both stages walk the planner's failure scenarios in the sweep's serial
+// depth-first order; the greedy choices depend on that order. Each scenario
+// is routed once, with warm-started per-DC trees, and its DC-pair paths are
+// interned: a region's scenarios repeat a few hundred distinct paths tens of
+// thousands of times, so the plan-independent facts about a path (unaided
+// feasibility, amplifier sites) are computed once per distinct path.
 #pragma once
 
-#include <map>
-#include <set>
 #include <vector>
 
+#include "core/path_physics.hpp"
 #include "core/provision.hpp"
 
 namespace iris::core {
@@ -50,13 +56,21 @@ struct AmpCutPlan {
   /// Fiber-pair lease units added by cut-throughs (pairs x covered spans).
   [[nodiscard]] long long cut_through_fiber_spans() const;
   /// Sites the given path may bypass (union over matching cut-throughs).
-  [[nodiscard]] std::set<graph::NodeId> bypassed_sites(
-      const graph::Path& path) const;
+  [[nodiscard]] SiteSet bypassed_sites(const graph::Path& path) const;
 };
 
-/// Runs both placement stages over every failure scenario.
+/// Work counters of one placement run; deterministic for a given input.
+struct AmpCutStats {
+  long long scenarios = 0;       ///< failure scenarios routed
+  long long pair_paths = 0;      ///< reachable DC-pair paths over scenarios
+  long long distinct_paths = 0;  ///< distinct paths among them
+};
+
+/// Runs both placement stages over every failure scenario. `stats`, when
+/// given, receives the run's work counters.
 AmpCutPlan place_amplifiers_and_cutthroughs(const fibermap::FiberMap& map,
-                                            const ProvisionedNetwork& network);
+                                            const ProvisionedNetwork& network,
+                                            AmpCutStats* stats = nullptr);
 
 /// True if the path closes its power budget given the plan: either unaided,
 /// or with one in-line amplifier at a site where the plan placed amplifiers.
@@ -65,8 +79,7 @@ AmpCutPlan place_amplifiers_and_cutthroughs(const fibermap::FiberMap& map,
 bool path_feasible_with_plan(const graph::Graph& g, const graph::Path& path,
                              const AmpCutPlan& plan,
                              const optical::OpticalSpec& spec,
-                             const std::set<graph::NodeId>* extra_bypassed =
-                                 nullptr);
+                             const SiteSet* extra_bypassed = nullptr);
 
 /// Uniform-capacity fast path (see scale_uniform_provision): scales a plan
 /// computed at 1 fiber per DC. Amplifier and cut-through fiber counts are

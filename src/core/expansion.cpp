@@ -25,44 +25,43 @@ double attach_length_km(geo::Point from, geo::Point to) {
   return std::max(geo::distance(from, to), 0.05) * 1.6;
 }
 
-fibermap::FiberMap with_new_dc(const fibermap::FiberMap& map,
-                               const ExpansionRequest& request) {
-  fibermap::FiberMap expanded = map;
+}  // namespace
+
+ExpandedRegion expand_region(const fibermap::FiberMap& map,
+                             const ExpansionRequest& request) {
+  ExpandedRegion out{map, std::nullopt};
   const NodeId dc =
-      expanded.add_dc(request.name, request.position, request.capacity_fibers);
+      out.map.add_dc(request.name, request.position, request.capacity_fibers);
   const auto huts = huts_by_distance(map, request.position);
   const int attach = std::min<int>(request.attach_huts,
                                    static_cast<int>(huts.size()));
   for (int a = 0; a < attach; ++a) {
-    expanded.add_duct_with_length(
+    out.map.add_duct_with_length(
         dc, huts[a],
         attach_length_km(request.position, map.site(huts[a]).position));
   }
-  return expanded;
+  const auto tree = graph::dijkstra(out.map.graph(), dc);
+  double worst = 0.0;
+  for (NodeId existing : map.dcs()) {
+    if (!tree.reachable(existing)) return out;
+    worst = std::max(worst, tree.dist_km[existing]);
+  }
+  out.reach_km = worst;
+  return out;
 }
-
-}  // namespace
 
 std::optional<double> expansion_fiber_reach_km(const fibermap::FiberMap& map,
                                                const PlannerParams& params,
                                                const ExpansionRequest& request) {
-  const fibermap::FiberMap expanded = with_new_dc(map, request);
-  const NodeId new_dc = expanded.dcs().back();
-  const auto tree = graph::dijkstra(expanded.graph(), new_dc);
-  double worst = 0.0;
-  for (NodeId dc : map.dcs()) {
-    if (!tree.reachable(dc)) return std::nullopt;
-    worst = std::max(worst, tree.dist_km[dc]);
-  }
   (void)params;
-  return worst;
+  return expand_region(map, request).reach_km;
 }
 
 ExpansionReport plan_expansion(const fibermap::FiberMap& map,
                                const PlannerParams& params,
                                const ExpansionRequest& request) {
-  const auto reach = expansion_fiber_reach_km(map, params, request);
-  if (!reach || *reach > params.spec.max_path_km) {
+  ExpandedRegion expanded = expand_region(map, request);
+  if (!expanded.within_sla(params)) {
     throw std::invalid_argument(
         "plan_expansion: candidate site violates the siting SLA");
   }
@@ -70,9 +69,9 @@ ExpansionReport plan_expansion(const fibermap::FiberMap& map,
   const RegionalPlan before = plan_region(map, params);
 
   ExpansionReport report;
-  report.expanded_map = with_new_dc(map, request);
+  report.expanded_map = std::move(expanded.map);
   report.plan = plan_region(report.expanded_map, params);
-  report.max_fiber_km_to_existing = *reach;
+  report.max_fiber_km_to_existing = *expanded.reach_km;
   report.iris_delta = report.plan.iris.total - before.iris.total;
   report.eps_delta = report.plan.eps.total - before.eps.total;
   return report;

@@ -36,10 +36,28 @@ struct ExpansionReport {
   }
 };
 
-/// Checks the siting SLA for a candidate position: the fiber distance from
-/// the candidate (via its nearest attach huts) to every existing DC must
-/// stay within the planner's max path length. Returns the worst distance,
-/// or nullopt if some DC is unreachable.
+/// The region with a candidate DC attached: the new DC (last in dcs()) and
+/// its ducts into the nearest backbone huts.
+struct ExpandedRegion {
+  fibermap::FiberMap map;
+  /// Worst fiber distance from the new DC to an existing DC, or nullopt if
+  /// some existing DC is unreachable from it.
+  std::optional<double> reach_km;
+
+  /// The siting SLA: every existing DC within the planner's max path length.
+  [[nodiscard]] bool within_sla(const PlannerParams& params) const {
+    return reach_km.has_value() && *reach_km <= params.spec.max_path_km;
+  }
+};
+
+/// Attaches the candidate DC and measures its reach. The one way to build
+/// an expanded map: growth studies provision `map`, and plan_expansion
+/// plans it.
+ExpandedRegion expand_region(const fibermap::FiberMap& map,
+                             const ExpansionRequest& request);
+
+/// The reach of expand_region(map, request), for siting checks that need
+/// nothing else.
 std::optional<double> expansion_fiber_reach_km(const fibermap::FiberMap& map,
                                                const PlannerParams& params,
                                                const ExpansionRequest& request);

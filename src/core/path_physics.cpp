@@ -15,7 +15,7 @@ double path_fiber_km(const graph::Graph& g, const graph::Path& path, int from,
 }
 
 double segment_loss_db(const graph::Graph& g, const graph::Path& path, int from,
-                       int to, const std::set<graph::NodeId>& bypassed,
+                       int to, const SiteSet& bypassed,
                        const optical::OpticalSpec& spec) {
   double loss = path_fiber_km(g, path, from, to) * spec.fiber_loss_db_per_km;
   for (int i = from + 1; i < to; ++i) {
@@ -26,7 +26,7 @@ double segment_loss_db(const graph::Graph& g, const graph::Path& path, int from,
 
 bool path_feasible(const graph::Graph& g, const graph::Path& path,
                    std::optional<int> amp_idx,
-                   const std::set<graph::NodeId>& bypassed,
+                   const SiteSet& bypassed,
                    const optical::OpticalSpec& spec) {
   const int last = static_cast<int>(path.nodes.size()) - 1;
   if (last <= 0) return true;
@@ -68,7 +68,7 @@ std::vector<int> amp_candidate_indices(const graph::Graph& g,
 
 std::vector<int> feasible_amp_indices(const graph::Graph& g,
                                       const graph::Path& path,
-                                      const std::set<graph::NodeId>& bypassed,
+                                      const SiteSet& bypassed,
                                       const optical::OpticalSpec& spec) {
   std::vector<int> out;
   const int last = static_cast<int>(path.nodes.size()) - 1;

@@ -14,14 +14,50 @@
 // ~10 dB of OSS budget remains end-to-end (TC4).
 #pragma once
 
+#include <algorithm>
+#include <cstdint>
+#include <initializer_list>
 #include <optional>
-#include <set>
 #include <vector>
 
 #include "graph/shortest_path.hpp"
 #include "optical/spec.hpp"
 
 namespace iris::core {
+
+/// A set of sites as a bitset over node ids: the bypassed (cut-through)
+/// sites of a path. Grows on insert; absent ids are not members.
+class SiteSet {
+ public:
+  SiteSet() = default;
+  SiteSet(std::initializer_list<graph::NodeId> sites) {
+    for (graph::NodeId n : sites) insert(n);
+  }
+
+  [[nodiscard]] bool contains(graph::NodeId n) const {
+    const auto w = static_cast<std::size_t>(n) / 64;
+    return w < words_.size() && ((words_[w] >> (n % 64)) & 1U) != 0;
+  }
+  void insert(graph::NodeId n) {
+    const auto w = static_cast<std::size_t>(n) / 64;
+    if (w >= words_.size()) words_.resize(w + 1, 0);
+    words_[w] |= std::uint64_t{1} << (n % 64);
+  }
+  SiteSet& operator|=(const SiteSet& other) {
+    if (other.words_.size() > words_.size()) {
+      words_.resize(other.words_.size(), 0);
+    }
+    for (std::size_t w = 0; w < other.words_.size(); ++w) {
+      words_[w] |= other.words_[w];
+    }
+    return *this;
+  }
+  /// Empties the set, keeping its storage.
+  void clear() { std::fill(words_.begin(), words_.end(), 0); }
+
+ private:
+  std::vector<std::uint64_t> words_;
+};
 
 /// Fiber length of the path between node indices [from, to].
 double path_fiber_km(const graph::Graph& g, const graph::Path& path, int from,
@@ -32,7 +68,7 @@ double path_fiber_km(const graph::Graph& g, const graph::Path& path, int from,
 /// traversal per non-bypassed interior site. Boundary sites are excluded;
 /// the caller adds amplifier-loopback traversals where applicable.
 double segment_loss_db(const graph::Graph& g, const graph::Path& path, int from,
-                       int to, const std::set<graph::NodeId>& bypassed,
+                       int to, const SiteSet& bypassed,
                        const optical::OpticalSpec& spec);
 
 /// True if the path closes its power budget with an optional in-line
@@ -40,7 +76,7 @@ double segment_loss_db(const graph::Graph& g, const graph::Path& path, int from,
 /// bypassed sites.
 bool path_feasible(const graph::Graph& g, const graph::Path& path,
                    std::optional<int> amp_idx,
-                   const std::set<graph::NodeId>& bypassed,
+                   const SiteSet& bypassed,
                    const optical::OpticalSpec& spec);
 
 /// Does the path need in-line amplification on fiber length alone (TC1)?
@@ -61,7 +97,7 @@ std::vector<int> amp_candidate_indices(const graph::Graph& g,
 /// amplifier can be looped in there.
 std::vector<int> feasible_amp_indices(const graph::Graph& g,
                                       const graph::Path& path,
-                                      const std::set<graph::NodeId>& bypassed,
+                                      const SiteSet& bypassed,
                                       const optical::OpticalSpec& spec);
 
 }  // namespace iris::core

@@ -111,15 +111,6 @@ graph::ScenarioSet planner_scenarios(const fibermap::FiberMap& map,
                             params.failure_tolerance, std::move(base));
 }
 
-void for_each_scenario(
-    const fibermap::FiberMap& map, const PlannerParams& params,
-    const std::function<void(const graph::EdgeMask&)>& visit) {
-  planner_scenarios(map, params)
-      .for_each([&](const graph::EdgeMask& mask, std::span<const EdgeId>) {
-        visit(mask);
-      });
-}
-
 namespace {
 
 /// Per-worker state for the provisioning sweep. Every field merges

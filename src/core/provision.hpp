@@ -7,7 +7,6 @@
 // are excluded up front (TC1): no switching technology can use them.
 #pragma once
 
-#include <functional>
 #include <map>
 #include <utility>
 #include <vector>
@@ -133,12 +132,5 @@ ProvisionedNetwork scale_uniform_provision(const ProvisionedNetwork& unit,
 /// design validators.
 graph::ScenarioSet planner_scenarios(const fibermap::FiberMap& map,
                                      const PlannerParams& params);
-
-/// Serial convenience wrapper over planner_scenarios().for_each for callers
-/// whose per-scenario work is order-dependent (e.g. the greedy amplifier
-/// placement) or too small to parallelize.
-void for_each_scenario(
-    const fibermap::FiberMap& map, const PlannerParams& params,
-    const std::function<void(const graph::EdgeMask&)>& visit);
 
 }  // namespace iris::core

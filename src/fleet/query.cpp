@@ -1,7 +1,6 @@
 #include "fleet/query.hpp"
 
 #include <cstdio>
-#include <stdexcept>
 
 #include "core/replan.hpp"
 #include "core/slo.hpp"
@@ -79,21 +78,20 @@ void run_failure_drill(const RegionSnapshot& snap, const WhatIfQuery& q,
   r.replan_ms = planner.last_stats().replan_ms;
 }
 
+/// A growth study answers the siting reach and the expanded region's fiber
+/// bill, so it provisions the expanded map and nothing else: no plan of the
+/// current region, no amplifier placement, no bills of materials.
 void run_growth(const RegionSnapshot& snap, const WhatIfQuery& q,
                 WhatIfResult& r) {
   const core::PlannerParams p = scratch_params(snap);
-  const auto reach = core::expansion_fiber_reach_km(*snap.map, p, q.growth);
-  if (!reach.has_value()) return;  // some DC unreachable: siting infeasible
-  r.reach_km = *reach;
-  try {
-    const core::ExpansionReport rep =
-        core::plan_expansion(*snap.map, p, q.growth);
-    r.feasible = true;
-    r.fibers_added = rep.plan.network.total_base_fibers() -
-                     snap.network->total_base_fibers();
-  } catch (const std::invalid_argument&) {
-    // Siting SLA violated: a legitimate "no" answer, not an error.
-  }
+  const core::ExpandedRegion grown = core::expand_region(*snap.map, q.growth);
+  if (!grown.reach_km.has_value()) return;  // some DC unreachable
+  r.reach_km = *grown.reach_km;
+  // Siting SLA violated: a legitimate "no" answer, not an error.
+  if (!grown.within_sla(p)) return;
+  r.feasible = true;
+  r.fibers_added = core::provision(grown.map, p).total_base_fibers() -
+                   snap.network->total_base_fibers();
 }
 
 void run_slo_probe(const RegionSnapshot& snap, const WhatIfQuery& q,

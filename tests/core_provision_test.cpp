@@ -281,7 +281,7 @@ TEST(PathPhysics, ManyHopsBustPowerBudgetUntilBypassed) {
   const auto& path = net.baseline_paths.at(DcPair(a, b));
   EXPECT_FALSE(needs_amplification(path, net.params.spec));
   EXPECT_FALSE(path_feasible(map.graph(), path, std::nullopt, {}, net.params.spec));
-  std::set<graph::NodeId> bypass{nodes[2], nodes[3], nodes[4]};
+  SiteSet bypass{nodes[2], nodes[3], nodes[4]};
   EXPECT_TRUE(path_feasible(map.graph(), path, std::nullopt, bypass,
                             net.params.spec));
 }

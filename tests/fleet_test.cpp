@@ -247,6 +247,75 @@ TEST(FleetQuery, GrowthStudySitesNewDc) {
   EXPECT_FALSE(fleet::run_query(*snap, far).feasible);
 }
 
+// A growth study answers from the expanded map alone. Over the benchmark's
+// 5x3 candidate grid, plus a site beyond the siting SLA and one with no
+// attach duct, every answer must equal the one derived from the full
+// expansion plan: plan_expansion's fiber bill for a feasible site, the
+// measured reach for an SLA violation, nothing for an unreachable site.
+TEST(FleetQuery, GrowthAnswersMatchFullExpansionPlan) {
+  const auto params = small_fleet(1, 8);
+  fleet::Fleet fleet(params);
+  fleet.start();
+  fleet.join();
+  const auto snap = fleet.snapshot(0);
+  ASSERT_NE(snap, nullptr);
+
+  std::vector<core::ExpansionRequest> sites;
+  for (int gx = 0; gx < 5; ++gx) {
+    for (int gy = 0; gy < 3; ++gy) {
+      core::ExpansionRequest site;
+      site.position = {12.0 + 4.0 * gx, 18.0 + 6.0 * gy};
+      site.capacity_fibers = 8;
+      site.name = "dc-whatif";
+      sites.push_back(site);
+    }
+  }
+  core::ExpansionRequest beyond_sla = sites.front();
+  beyond_sla.position = {500.0, 500.0};
+  sites.push_back(beyond_sla);
+  core::ExpansionRequest unreachable = sites.front();
+  unreachable.attach_huts = 0;
+  sites.push_back(unreachable);
+
+  core::PlannerParams p = snap->network->params;
+  p.threads = 1;
+  int feasible = 0;
+  int violations = 0;
+  int unreached = 0;
+  for (const core::ExpansionRequest& site : sites) {
+    fleet::WhatIfQuery query;
+    query.kind = fleet::QueryKind::kGrowth;
+    query.growth = site;
+    const fleet::WhatIfResult got = fleet::run_query(*snap, query);
+
+    fleet::WhatIfResult want;
+    want.kind = fleet::QueryKind::kGrowth;
+    want.region = snap->region;
+    want.tick = snap->tick;
+    want.version = snap->version;
+    const auto reach = core::expansion_fiber_reach_km(*snap->map, p, site);
+    if (!reach.has_value()) {
+      ++unreached;
+    } else {
+      want.reach_km = *reach;
+      try {
+        const core::ExpansionReport rep =
+            core::plan_expansion(*snap->map, p, site);
+        want.feasible = true;
+        want.fibers_added = rep.plan.network.total_base_fibers() -
+                            snap->network->total_base_fibers();
+        ++feasible;
+      } catch (const std::invalid_argument&) {
+        ++violations;
+      }
+    }
+    EXPECT_EQ(got.canonical(), want.canonical());
+  }
+  EXPECT_EQ(feasible, 15);
+  EXPECT_EQ(violations, 1);
+  EXPECT_EQ(unreached, 1);
+}
+
 // SLO-probe smoke: availability provisioning with cost co-optimization runs
 // against the pinned map and reports the met/cost/oversubscription triple.
 TEST(FleetQuery, SloProbeReportsCostTriple) {
