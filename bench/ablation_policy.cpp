@@ -7,19 +7,14 @@
 // shows how reconfiguration count and cumulative capacity-gap time shrink
 // as the hysteresis widens, and vanish under make-before-break.
 //
-// Usage: bench_ablation_policy [duration_s=X] [--metrics[=path]]
-//                              [--benchmark_...]
 // Overrides parse strictly (whole-token, exit 2 on garbage); with no
 // arguments the table is byte-identical to the historical run.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
-#include <string_view>
 
 #include "bench_util.hpp"
 #include "control/closed_loop.hpp"
-#include "obs/argparse.hpp"
-#include "obs/export.hpp"
 #include "simflow/traffic.hpp"
 
 namespace {
@@ -28,15 +23,6 @@ using namespace iris;
 
 // Closed-loop horizon per (hysteresis, strategy) cell.
 double g_duration_s = 600.0;
-
-int usage_error(const char* what, const char* arg) {
-  std::fprintf(stderr, "bench_ablation_policy: %s '%s'\n", what, arg);
-  std::fprintf(stderr,
-               "usage: bench_ablation_policy [duration_s=X]\n"
-               "                             [--metrics[=path]] "
-               "[--benchmark_...]\n");
-  return 2;
-}
 
 struct LoopSetup {
   fibermap::FiberMap map;
@@ -134,34 +120,12 @@ BENCHMARK(BM_ClosedLoopStep)->Unit(benchmark::kMicrosecond);
 }  // namespace
 
 int main(int argc, char** argv) {
-  iris::obs::MetricsFlag metrics;
-  int kept = 1;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (iris::obs::parse_metrics_flag(arg, metrics)) continue;
-    if (arg.rfind("--benchmark_", 0) == 0) {
-      argv[kept++] = argv[i];
-      continue;
-    }
-    const auto kv = iris::obs::split_kv(arg);
-    if (kv && kv->first == "duration_s") {
-      const auto v = iris::obs::parse_double(kv->second);
-      if (!v || *v <= 0.0 || *v > 1e7) {
-        return usage_error("malformed duration_s", argv[i]);
-      }
-      g_duration_s = *v;
-    } else {
-      return usage_error("unknown argument", argv[i]);
-    }
-  }
-  argc = kept;
-  argv[argc] = nullptr;
+  obs::Args args("bench_ablation_policy");
+  args.option("duration_s", g_duration_s, obs::above(0.0, 1e7))
+      .metrics()
+      .benchmark_flags();
+  if (const int rc = args.parse(argc, argv)) return rc;
 
   print_table();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  if (metrics.enabled && !iris::obs::dump_default_registry(metrics.path)) {
-    return 1;
-  }
-  return 0;
+  return bench::run_benchmarks(args);
 }

@@ -8,17 +8,11 @@
 // tens of times more (or transceivers collapse below electrical-port cost)
 // before EPS breaks even.
 //
-// Usage: bench_ablation_prices [dc_count=N] [--metrics[=path]]
-//                              [--benchmark_...]
 // Overrides parse strictly (whole-token, exit 2 on garbage); with no
 // arguments the table is byte-identical to the historical run.
 #include <benchmark/benchmark.h>
 
-#include <string_view>
-
 #include "bench_util.hpp"
-#include "obs/argparse.hpp"
-#include "obs/export.hpp"
 
 namespace {
 
@@ -26,15 +20,6 @@ using namespace iris;
 
 // DC count of the reference region the price sweeps are evaluated on.
 int g_dc_count = 10;
-
-int usage_error(const char* what, const char* arg) {
-  std::fprintf(stderr, "bench_ablation_prices: %s '%s'\n", what, arg);
-  std::fprintf(stderr,
-               "usage: bench_ablation_prices [dc_count=N]\n"
-               "                             [--metrics[=path]] "
-               "[--benchmark_...]\n");
-  return 2;
-}
 
 struct PlannedRegion {
   fibermap::FiberMap map;
@@ -114,34 +99,12 @@ BENCHMARK(BM_CostRollup);
 }  // namespace
 
 int main(int argc, char** argv) {
-  iris::obs::MetricsFlag metrics;
-  int kept = 1;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (iris::obs::parse_metrics_flag(arg, metrics)) continue;
-    if (arg.rfind("--benchmark_", 0) == 0) {
-      argv[kept++] = argv[i];
-      continue;
-    }
-    const auto kv = iris::obs::split_kv(arg);
-    if (kv && kv->first == "dc_count") {
-      const auto v = iris::obs::parse_ll(kv->second);
-      if (!v || *v < 2 || *v > 100) {
-        return usage_error("malformed dc_count", argv[i]);
-      }
-      g_dc_count = static_cast<int>(*v);
-    } else {
-      return usage_error("unknown argument", argv[i]);
-    }
-  }
-  argc = kept;
-  argv[argc] = nullptr;
+  obs::Args args("bench_ablation_prices");
+  args.option("dc_count", g_dc_count, obs::in(2, 100))
+      .metrics()
+      .benchmark_flags();
+  if (const int rc = args.parse(argc, argv)) return rc;
 
   print_table();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  if (metrics.enabled && !iris::obs::dump_default_registry(metrics.path)) {
-    return 1;
-  }
-  return 0;
+  return bench::run_benchmarks(args);
 }

@@ -5,16 +5,11 @@
 // but the resulting cost savings are small -- not enough to justify the
 // added device complexity.
 //
-// Usage: bench_appB_hybrid [lambda=N] [--metrics[=path]] [--benchmark_...]
 // Overrides parse strictly (whole-token, exit 2 on garbage); with no
 // arguments the table is byte-identical to the historical run.
 #include <benchmark/benchmark.h>
 
-#include <string_view>
-
 #include "bench_util.hpp"
-#include "obs/argparse.hpp"
-#include "obs/export.hpp"
 
 namespace {
 
@@ -22,15 +17,6 @@ using namespace iris;
 
 // Wavelengths per fiber in the planner's channel plan.
 int g_lambda = 40;
-
-int usage_error(const char* what, const char* arg) {
-  std::fprintf(stderr, "bench_appB_hybrid: %s '%s'\n", what, arg);
-  std::fprintf(stderr,
-               "usage: bench_appB_hybrid [lambda=N]\n"
-               "                         [--metrics[=path]] "
-               "[--benchmark_...]\n");
-  return 2;
-}
 
 void print_table() {
   const auto prices = cost::PriceBook::paper_defaults();
@@ -104,34 +90,12 @@ BENCHMARK(BM_HybridConstruction)->Unit(benchmark::kMillisecond);
 }  // namespace
 
 int main(int argc, char** argv) {
-  iris::obs::MetricsFlag metrics;
-  int kept = 1;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (iris::obs::parse_metrics_flag(arg, metrics)) continue;
-    if (arg.rfind("--benchmark_", 0) == 0) {
-      argv[kept++] = argv[i];
-      continue;
-    }
-    const auto kv = iris::obs::split_kv(arg);
-    if (kv && kv->first == "lambda") {
-      const auto v = iris::obs::parse_ll(kv->second);
-      if (!v || *v < 1 || *v > 1000) {
-        return usage_error("malformed lambda", argv[i]);
-      }
-      g_lambda = static_cast<int>(*v);
-    } else {
-      return usage_error("unknown argument", argv[i]);
-    }
-  }
-  argc = kept;
-  argv[argc] = nullptr;
+  obs::Args args("bench_appB_hybrid");
+  args.option("lambda", g_lambda, obs::in(1, 1000))
+      .metrics()
+      .benchmark_flags();
+  if (const int rc = args.parse(argc, argv)) return rc;
 
   print_table();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  if (metrics.enabled && !iris::obs::dump_default_registry(metrics.path)) {
-    return 1;
-  }
-  return 0;
+  return bench::run_benchmarks(args);
 }

@@ -1,9 +1,11 @@
 // Shared helpers for the reproduction benches: the fixed synthetic region
-// set standing in for the paper's 10 Azure fiber maps, CDF printing, and
-// small formatting utilities. Every bench prints its table before running
-// its google-benchmark timings, so `./bench_x` regenerates the figure's
-// series directly.
+// set standing in for the paper's 10 Azure fiber maps, CDF printing, small
+// formatting utilities, and the shared tail of every main. Every bench
+// prints its table before running its google-benchmark timings, so
+// `./bench_x` regenerates the figure's series directly.
 #pragma once
+
+#include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <cstdio>
@@ -12,6 +14,8 @@
 
 #include "core/plan_region.hpp"
 #include "fibermap/generator.hpp"
+#include "obs/argparse.hpp"
+#include "obs/export.hpp"
 
 namespace iris::bench {
 
@@ -69,6 +73,24 @@ inline double median(std::vector<double> values) {
   if (values.empty()) return 0.0;
   std::sort(values.begin(), values.end());
   return values[values.size() / 2];
+}
+
+/// Writes the `--metrics` export when it was asked for. Returns `rc`, or 1
+/// when the export cannot be written (2 stays reserved for usage errors).
+inline int finish(const obs::Args& args, int rc = 0) {
+  const bool failed = args.metrics_requested() &&
+                      !obs::dump_default_registry(args.metrics_path());
+  return failed ? 1 : rc;
+}
+
+/// The tail of a figure bench: runs the google-benchmark timings selected by
+/// the forwarded `--benchmark_*` flags, then finish().
+inline int run_benchmarks(obs::Args& args) {
+  auto& argv = args.benchmark_argv();
+  int argc = static_cast<int>(argv.size()) - 1;
+  benchmark::Initialize(&argc, argv.data());
+  benchmark::RunSpecifiedBenchmarks();
+  return finish(args);
 }
 
 }  // namespace iris::bench

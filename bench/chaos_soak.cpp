@@ -24,34 +24,26 @@
 // queues. The soak prints makespan statistics and runs a speedup demo on a
 // region with >= 4 port/duct-disjoint circuits, failing unless the async
 // reconfiguration makespan beats the serial baseline by >= 3x. The default
-// (`serial=1`) keeps every trace and this program's stdout byte-identical
+// (`async=0`) keeps every trace and this program's stdout byte-identical
 // to the pre-async-plane build.
 //
-// Usage: bench_chaos_soak [samples] [seed] [key=value...]
-//                         [--metrics[=path]] [--steady-clock]
-//   keys: oss_connect_fail oss_disconnect_fail oss_port_stuck tx_tune_fail
-//         tx_dead amp_dead timeout_fraction crash_every_cmds srlg_chaos
-//         async serial
 // Malformed or unknown arguments are rejected with exit code 2 (the atof
 // family used to turn garbage into silent zeros). With no arguments the
 // soak is byte-identical to the unparameterized run; --metrics exports the
 // obs registry (deterministic unless --steady-clock swaps in wall time).
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "bench_util.hpp"
 #include "control/controller.hpp"
 #include "control/journal.hpp"
 #include "control/policy.hpp"
 #include "fibermap/generator.hpp"
 #include "fibermap/srlg.hpp"
-#include "obs/argparse.hpp"
 #include "obs/clock.hpp"
-#include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "reliability/events.hpp"
 
@@ -83,33 +75,6 @@ control::FaultConfig soak_faults(std::uint64_t seed) {
   cfg.rates.timeout_fraction = 0.25;
   cfg.seed = seed;
   return cfg;
-}
-
-/// Stores one fault-rate value under its key; returns false on an
-/// unknown key (the value is validated by the caller).
-bool set_rate(control::FaultRates& rates, const std::string& key,
-              double value) {
-  if (key == "oss_connect_fail") rates.oss_connect_fail = value;
-  else if (key == "oss_disconnect_fail") rates.oss_disconnect_fail = value;
-  else if (key == "oss_port_stuck") rates.oss_port_stuck = value;
-  else if (key == "tx_tune_fail") rates.tx_tune_fail = value;
-  else if (key == "tx_dead") rates.tx_dead = value;
-  else if (key == "amp_dead") rates.amp_dead = value;
-  else if (key == "timeout_fraction") rates.timeout_fraction = value;
-  else return false;
-  return true;
-}
-
-int usage_error(const char* what, const char* arg) {
-  std::fprintf(stderr, "bench_chaos_soak: %s '%s'\n", what, arg);
-  std::fprintf(stderr,
-               "usage: bench_chaos_soak [samples] [seed] [key=value...]\n"
-               "                        [--metrics[=path]] [--steady-clock]\n"
-               "  keys: oss_connect_fail oss_disconnect_fail oss_port_stuck\n"
-               "        tx_tune_fail tx_dead amp_dead timeout_fraction\n"
-               "        (rates in [0,1]) crash_every_cmds (integer >= 0)\n"
-               "        srlg_chaos async serial (0 or 1)\n");
-  return 2;
 }
 
 /// Async acceptance demo: establish >= 4 circuits whose endpoints, routes
@@ -231,80 +196,29 @@ control::TrafficMatrix demand_at(const fibermap::FiberMap& map, double t) {
 
 int main(int argc, char** argv) {
   int samples = 10000;
-  std::uint64_t seed = 0x5eed;
-  obs::MetricsFlag metrics;
-  bool steady_clock = false;
-  // Pass 1: flags and positionals (strictly parsed -- the old atoi/atof
-  // parsing turned garbage into silent zeros). Overrides wait until the
-  // seed is known, because soak_faults() consumes it.
-  std::vector<const char*> overrides;
-  int positionals = 0;
-  for (int i = 1; i < argc; ++i) {
-    if (obs::parse_metrics_flag(argv[i], metrics)) continue;
-    if (std::strcmp(argv[i], "--steady-clock") == 0) {
-      steady_clock = true;
-      continue;
-    }
-    if (std::strchr(argv[i], '=') != nullptr) {
-      // key=value overrides may appear anywhere: neither positional can
-      // contain '=', so there is no ambiguity.
-      overrides.push_back(argv[i]);
-      continue;
-    }
-    if (positionals == 0) {
-      const auto v = obs::parse_ll(argv[i]);
-      if (!v || *v < 0 || *v > std::numeric_limits<int>::max()) {
-        return usage_error("malformed sample count", argv[i]);
-      }
-      samples = static_cast<int>(*v);
-      ++positionals;
-    } else if (positionals == 1) {
-      const auto v = obs::parse_ull(argv[i]);
-      if (!v) return usage_error("malformed seed", argv[i]);
-      seed = *v;
-      ++positionals;
-    } else {
-      overrides.push_back(argv[i]);
-    }
-  }
-  auto faults = soak_faults(seed);
+  control::FaultConfig faults = soak_faults(0x5eed);
   bool srlg_chaos = false;
   bool async_plane = false;
-  for (const char* arg : overrides) {
-    const auto kv = obs::split_kv(arg);
-    if (!kv) return usage_error("fault override is not key=value", arg);
-    if (kv->first == "async" || kv->first == "serial") {
-      const auto v = obs::parse_ll(kv->second);
-      if (!v || (*v != 0 && *v != 1)) {
-        return usage_error("malformed command-plane flag", arg);
-      }
-      async_plane = (kv->first == "async") == (*v == 1);
-      continue;
-    }
-    if (kv->first == "srlg_chaos") {
-      const auto v = obs::parse_ll(kv->second);
-      if (!v || (*v != 0 && *v != 1)) {
-        return usage_error("malformed srlg_chaos value", arg);
-      }
-      srlg_chaos = *v == 1;
-      continue;
-    }
-    if (kv->first == "crash_every_cmds") {
-      const auto v = obs::parse_ll(kv->second);
-      if (!v || *v < 0) {
-        return usage_error("malformed crash_every_cmds value", arg);
-      }
-      faults.crash_after_commands = *v;
-      continue;
-    }
-    const auto v = obs::parse_double(kv->second);
-    if (!v || *v < 0.0 || *v > 1.0) {
-      return usage_error("fault rate not a number in [0,1]", arg);
-    }
-    if (!set_rate(faults.rates, kv->first, *v)) {
-      return usage_error("unknown fault override key", arg);
-    }
-  }
+  bool steady_clock = false;
+  const auto rate = obs::in(0.0, 1.0);
+  obs::Args args("bench_chaos_soak");
+  args.positional("samples", samples, obs::at_least(0))
+      .positional("seed", faults.seed)
+      .option("oss_connect_fail", faults.rates.oss_connect_fail, rate)
+      .option("oss_disconnect_fail", faults.rates.oss_disconnect_fail, rate)
+      .option("oss_port_stuck", faults.rates.oss_port_stuck, rate)
+      .option("tx_tune_fail", faults.rates.tx_tune_fail, rate)
+      .option("tx_dead", faults.rates.tx_dead, rate)
+      .option("amp_dead", faults.rates.amp_dead, rate)
+      .option("timeout_fraction", faults.rates.timeout_fraction, rate)
+      .option("crash_every_cmds", faults.crash_after_commands,
+              obs::at_least(0))
+      .option("srlg_chaos", srlg_chaos)
+      .option("async", async_plane)
+      .flag("--steady-clock", steady_clock,
+            "wall-clock spans in the metrics export")
+      .metrics();
+  if (const int rc = args.parse(argc, argv)) return rc;
   if (steady_clock) {
     obs::registry().set_clock(std::make_unique<obs::SteadyClock>());
   }
@@ -347,7 +261,7 @@ int main(int argc, char** argv) {
   control::ReconfigPolicy policy(pp);
 
   std::printf("# chaos soak: %d closed-loop samples, fault seed 0x%llx\n",
-              samples, static_cast<unsigned long long>(seed));
+              samples, static_cast<unsigned long long>(faults.seed));
   if (async_plane) {
     std::printf("# command plane: async (batched issue, pipelined drains)\n");
   }
@@ -366,7 +280,7 @@ int main(int argc, char** argv) {
     cm.base.mean_repair_hours = 12.0;
     cm.base.disasters_per_year = 0.0;  // site-down semantics stay out of scope
     cm.base.horizon_years = static_cast<double>(samples) / (365.25 * 24.0);
-    cm.base.seed = seed;
+    cm.base.seed = faults.seed;
     cm.trench_hits_per_km_year = 2.0;
     cm.trench_repair_hours = 24.0;
     cm.hut_outages_per_year = 5.0;
@@ -605,7 +519,7 @@ int main(int argc, char** argv) {
           samples);
   }
 
-  if (metrics.enabled && !obs::dump_default_registry(metrics.path)) return 2;
+  if (bench::finish(args) != 0) return 1;
 
   if (violations > 0) {
     std::fprintf(stderr, "chaos soak FAILED: %d invariant violation(s)\n",

@@ -16,34 +16,19 @@
 // scale_uniform_provision); the planning itself still enumerates every
 // <=2-cut failure scenario.
 //
-// Usage: bench_fig12_cost_analysis [max_dcs=N] [--metrics[=path]]
-//                                  [--benchmark_...]
 // max_dcs trims the DC-count axis of the grid (keeps n <= N; default 20,
 // the full paper grid). Overrides parse strictly (whole-token, exit 2 on
 // garbage); with no arguments the table is byte-identical to the
 // historical run.
 #include <benchmark/benchmark.h>
 
-#include <string_view>
-
 #include "bench_util.hpp"
-#include "obs/argparse.hpp"
-#include "obs/export.hpp"
 
 namespace {
 
 using namespace iris;
 
-int g_max_dcs = 20;
-
-int usage_error(const char* what, const char* arg) {
-  std::fprintf(stderr, "bench_fig12_cost_analysis: %s '%s'\n", what, arg);
-  std::fprintf(stderr,
-               "usage: bench_fig12_cost_analysis [max_dcs=N]\n"
-               "                                 [--metrics[=path]] "
-               "[--benchmark_...]\n");
-  return 2;
-}
+long long g_max_dcs = 20;
 
 struct Scenario {
   double eps_over_iris;
@@ -168,30 +153,12 @@ BENCHMARK(BM_PlanOneRegionTol2)->Arg(5)->Arg(10)->Unit(benchmark::kMillisecond);
 }  // namespace
 
 int main(int argc, char** argv) {
-  obs::MetricsFlag metrics;
-  int kept = 1;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (obs::parse_metrics_flag(arg, metrics)) continue;
-    if (arg.rfind("--benchmark_", 0) == 0) {
-      argv[kept++] = argv[i];
-      continue;
-    }
-    const auto kv = obs::split_kv(arg);
-    if (kv && kv->first == "max_dcs") {
-      const auto v = obs::parse_ll(kv->second);
-      if (!v || *v < 5) return usage_error("malformed max_dcs", argv[i]);
-      g_max_dcs = static_cast<int>(std::min<long long>(*v, 20));
-    } else {
-      return usage_error("unknown argument", argv[i]);
-    }
-  }
-  argc = kept;
-  argv[argc] = nullptr;
+  obs::Args args("bench_fig12_cost_analysis");
+  args.option("max_dcs", g_max_dcs, obs::at_least(5))
+      .metrics()
+      .benchmark_flags();
+  if (const int rc = args.parse(argc, argv)) return rc;
 
   print_table();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  if (metrics.enabled && !obs::dump_default_registry(metrics.path)) return 1;
-  return 0;
+  return bench::run_benchmarks(args);
 }

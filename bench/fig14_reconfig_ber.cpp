@@ -9,20 +9,15 @@
 // across two huts); pre-FEC BER stays well below the SD-FEC threshold
 // (2e-2) at all other times, like an equivalent static link.
 //
-// Usage: bench_fig14_reconfig_ber [duration_s=X] [--metrics[=path]]
-//                                 [--benchmark_...]
 // Overrides parse strictly (whole-token, exit 2 on garbage); with no
 // arguments the table is byte-identical to the historical run.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
 #include <random>
-#include <string_view>
 
 #include "bench_util.hpp"
 #include "control/controller.hpp"
-#include "obs/argparse.hpp"
-#include "obs/export.hpp"
 #include "optical/lightpath.hpp"
 
 namespace {
@@ -31,15 +26,6 @@ using namespace iris;
 
 // BER timeline length; the paper's testbed trace runs two minutes.
 double g_duration_s = 120.0;
-
-int usage_error(const char* what, const char* arg) {
-  std::fprintf(stderr, "bench_fig14_reconfig_ber: %s '%s'\n", what, arg);
-  std::fprintf(stderr,
-               "usage: bench_fig14_reconfig_ber [duration_s=X]\n"
-               "                                [--metrics[=path]] "
-               "[--benchmark_...]\n");
-  return 2;
-}
 
 /// Builds the Fig. 13(b) testbed map: DC1 sends to DC2 and DC3 through a
 /// hut; span lengths chosen so one path needs the hut amplifier at a time.
@@ -162,34 +148,12 @@ BENCHMARK(BM_ReconfigurationApply)->Unit(benchmark::kMicrosecond);
 }  // namespace
 
 int main(int argc, char** argv) {
-  iris::obs::MetricsFlag metrics;
-  int kept = 1;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (iris::obs::parse_metrics_flag(arg, metrics)) continue;
-    if (arg.rfind("--benchmark_", 0) == 0) {
-      argv[kept++] = argv[i];
-      continue;
-    }
-    const auto kv = iris::obs::split_kv(arg);
-    if (kv && kv->first == "duration_s") {
-      const auto v = iris::obs::parse_double(kv->second);
-      if (!v || *v <= 0.0 || *v > 1e6) {
-        return usage_error("malformed duration_s", argv[i]);
-      }
-      g_duration_s = *v;
-    } else {
-      return usage_error("unknown argument", argv[i]);
-    }
-  }
-  argc = kept;
-  argv[argc] = nullptr;
+  obs::Args args("bench_fig14_reconfig_ber");
+  args.option("duration_s", g_duration_s, obs::above(0.0, 1e6))
+      .metrics()
+      .benchmark_flags();
+  if (const int rc = args.parse(argc, argv)) return rc;
 
   print_table();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  if (metrics.enabled && !iris::obs::dump_default_registry(metrics.path)) {
-    return 1;
-  }
-  return 0;
+  return bench::run_benchmarks(args);
 }

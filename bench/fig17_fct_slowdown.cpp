@@ -6,18 +6,14 @@
 // even at 70% utilization; only unbounded changes at second-scale intervals
 // hurt, and the effect vanishes for intervals >= 10 s.
 //
-// Usage: bench_fig17_fct_slowdown [seed=N] [duration=S] [--metrics[=path]]
-//                                 [--benchmark_...]
 // Overrides parse strictly (whole-token, exit 2 on garbage -- the atof
 // family used to turn `seed=abc` into silent zeros); with no arguments the
 // table is byte-identical to the historical unparameterized run.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
-#include <string_view>
 
-#include "obs/argparse.hpp"
-#include "obs/export.hpp"
+#include "bench_util.hpp"
 #include "simflow/simulator.hpp"
 
 namespace {
@@ -27,15 +23,6 @@ using namespace iris::simflow;
 
 long long g_seed = 99;
 double g_duration_s = 12.0;
-
-int usage_error(const char* what, const char* arg) {
-  std::fprintf(stderr, "bench_fig17_fct_slowdown: %s '%s'\n", what, arg);
-  std::fprintf(stderr,
-               "usage: bench_fig17_fct_slowdown [seed=N] [duration=S]\n"
-               "                                [--metrics[=path]] "
-               "[--benchmark_...]\n");
-  return 2;
-}
 
 double slowdown(double util, double change_fraction, double interval_s,
                 double p, double max_bytes = -1.0) {
@@ -97,34 +84,13 @@ BENCHMARK(BM_SimulateOneConfig)->Unit(benchmark::kMillisecond);
 }  // namespace
 
 int main(int argc, char** argv) {
-  obs::MetricsFlag metrics;
-  int kept = 1;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (obs::parse_metrics_flag(arg, metrics)) continue;
-    if (arg.rfind("--benchmark_", 0) == 0) {
-      argv[kept++] = argv[i];
-      continue;
-    }
-    const auto kv = obs::split_kv(arg);
-    if (kv && kv->first == "seed") {
-      const auto v = obs::parse_ll(kv->second);
-      if (!v || *v < 0) return usage_error("malformed seed", argv[i]);
-      g_seed = *v;
-    } else if (kv && kv->first == "duration") {
-      const auto v = obs::parse_double(kv->second);
-      if (!v || *v <= 0.0) return usage_error("malformed duration", argv[i]);
-      g_duration_s = *v;
-    } else {
-      return usage_error("unknown argument", argv[i]);
-    }
-  }
-  argc = kept;
-  argv[argc] = nullptr;
+  obs::Args args("bench_fig17_fct_slowdown");
+  args.option("seed", g_seed, obs::at_least(0))
+      .option("duration", g_duration_s, obs::above(0.0))
+      .metrics()
+      .benchmark_flags();
+  if (const int rc = args.parse(argc, argv)) return rc;
 
   print_table();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  if (metrics.enabled && !obs::dump_default_registry(metrics.path)) return 1;
-  return 0;
+  return bench::run_benchmarks(args);
 }

@@ -4,18 +4,14 @@
 // Paper claims: Iris's slowdown is < 2% vs EPS across all four workloads,
 // for all flows and for small flows.
 //
-// Usage: bench_fig18_workloads [seed=N] [duration=S] [replicas=K]
-//                              [--metrics[=path]] [--benchmark_...]
 // Overrides parse strictly (whole-token, exit 2 on garbage); with no
 // arguments the table is byte-identical to the historical run (seed 77,
 // 12 s, 3 replicas).
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
-#include <string_view>
 
-#include "obs/argparse.hpp"
-#include "obs/export.hpp"
+#include "bench_util.hpp"
 #include "simflow/experiment.hpp"
 
 namespace {
@@ -26,16 +22,6 @@ using namespace iris::simflow;
 long long g_seed = 77;
 double g_duration_s = 12.0;
 int g_replicas = 3;
-
-int usage_error(const char* what, const char* arg) {
-  std::fprintf(stderr, "bench_fig18_workloads: %s '%s'\n", what, arg);
-  std::fprintf(stderr,
-               "usage: bench_fig18_workloads [seed=N] [duration=S] "
-               "[replicas=K]\n"
-               "                             [--metrics[=path]] "
-               "[--benchmark_...]\n");
-  return 2;
-}
 
 SimParams fig18_params(Fabric fabric) {
   SimParams params;
@@ -81,40 +67,14 @@ BENCHMARK(BM_WorkloadSampling);
 }  // namespace
 
 int main(int argc, char** argv) {
-  obs::MetricsFlag metrics;
-  int kept = 1;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (obs::parse_metrics_flag(arg, metrics)) continue;
-    if (arg.rfind("--benchmark_", 0) == 0) {
-      argv[kept++] = argv[i];
-      continue;
-    }
-    const auto kv = obs::split_kv(arg);
-    if (kv && kv->first == "seed") {
-      const auto v = obs::parse_ll(kv->second);
-      if (!v || *v < 0) return usage_error("malformed seed", argv[i]);
-      g_seed = *v;
-    } else if (kv && kv->first == "duration") {
-      const auto v = obs::parse_double(kv->second);
-      if (!v || *v <= 0.0) return usage_error("malformed duration", argv[i]);
-      g_duration_s = *v;
-    } else if (kv && kv->first == "replicas") {
-      const auto v = obs::parse_ll(kv->second);
-      if (!v || *v < 1 || *v > 1000) {
-        return usage_error("malformed replicas", argv[i]);
-      }
-      g_replicas = static_cast<int>(*v);
-    } else {
-      return usage_error("unknown argument", argv[i]);
-    }
-  }
-  argc = kept;
-  argv[argc] = nullptr;
+  obs::Args args("bench_fig18_workloads");
+  args.option("seed", g_seed, obs::at_least(0))
+      .option("duration", g_duration_s, obs::above(0.0))
+      .option("replicas", g_replicas, obs::in(1, 1000))
+      .metrics()
+      .benchmark_flags();
+  if (const int rc = args.parse(argc, argv)) return rc;
 
   print_table();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  if (metrics.enabled && !obs::dump_default_registry(metrics.path)) return 1;
-  return 0;
+  return bench::run_benchmarks(args);
 }

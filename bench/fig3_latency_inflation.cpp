@@ -3,17 +3,11 @@
 // Paper claims: latency improves for >= 60% of DC pairs when going direct;
 // for > 20% of pairs the hub detour is more than 2x longer.
 //
-// Usage: bench_fig3_latency_inflation [regions=N] [--metrics[=path]]
-//                                     [--benchmark_...]
 // Overrides parse strictly (whole-token, exit 2 on garbage); with no
 // arguments the table is byte-identical to the historical run.
 #include <benchmark/benchmark.h>
 
-#include <string_view>
-
 #include "bench_util.hpp"
-#include "obs/argparse.hpp"
-#include "obs/export.hpp"
 #include "topology/latency.hpp"
 
 namespace {
@@ -22,15 +16,6 @@ using namespace iris;
 
 // 22 regions by default (the paper analyzes 22 Azure regions), 5-15 DCs each.
 int g_regions = 22;
-
-int usage_error(const char* what, const char* arg) {
-  std::fprintf(stderr, "bench_fig3_latency_inflation: %s '%s'\n", what, arg);
-  std::fprintf(stderr,
-               "usage: bench_fig3_latency_inflation [regions=N]\n"
-               "                                    [--metrics[=path]] "
-               "[--benchmark_...]\n");
-  return 2;
-}
 
 std::vector<double> all_inflations() {
   std::vector<double> inflations;
@@ -70,34 +55,12 @@ BENCHMARK(BM_LatencyInflationAnalysis)->Unit(benchmark::kMillisecond);
 }  // namespace
 
 int main(int argc, char** argv) {
-  iris::obs::MetricsFlag metrics;
-  int kept = 1;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (iris::obs::parse_metrics_flag(arg, metrics)) continue;
-    if (arg.rfind("--benchmark_", 0) == 0) {
-      argv[kept++] = argv[i];
-      continue;
-    }
-    const auto kv = iris::obs::split_kv(arg);
-    if (kv && kv->first == "regions") {
-      const auto v = iris::obs::parse_ll(kv->second);
-      if (!v || *v < 1 || *v > 10000) {
-        return usage_error("malformed regions", argv[i]);
-      }
-      g_regions = static_cast<int>(*v);
-    } else {
-      return usage_error("unknown argument", argv[i]);
-    }
-  }
-  argc = kept;
-  argv[argc] = nullptr;
+  obs::Args args("bench_fig3_latency_inflation");
+  args.option("regions", g_regions, obs::in(1, 10000))
+      .metrics()
+      .benchmark_flags();
+  if (const int rc = args.parse(argc, argv)) return rc;
 
   print_table();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  if (metrics.enabled && !iris::obs::dump_default_registry(metrics.path)) {
-    return 1;
-  }
-  return 0;
+  return bench::run_benchmarks(args);
 }

@@ -6,8 +6,6 @@
 // the intersection of the existing DCs' 60 km direct radii -- always a
 // superset (the extended area the paper highlights).
 //
-// Usage: bench_fig5_siting_maps [samples=N] [--metrics[=path]]
-//                               [--benchmark_...]
 // Overrides parse strictly (whole-token, exit 2 on garbage); with no
 // arguments the maps are byte-identical to the historical run.
 #include <benchmark/benchmark.h>
@@ -15,13 +13,10 @@
 #include <algorithm>
 #include <cstdio>
 #include <sstream>
-#include <string_view>
 
 #include "bench_util.hpp"
 #include "fibermap/render.hpp"
 #include "geo/service_area.hpp"
-#include "obs/argparse.hpp"
-#include "obs/export.hpp"
 #include "topology/latency.hpp"
 #include "topology/siting.hpp"
 
@@ -31,15 +26,6 @@ using namespace iris;
 
 // Monte-carlo sample grid per axis for the siting-area comparison.
 int g_samples = 256;
-
-int usage_error(const char* what, const char* arg) {
-  std::fprintf(stderr, "bench_fig5_siting_maps: %s '%s'\n", what, arg);
-  std::fprintf(stderr,
-               "usage: bench_fig5_siting_maps [samples=N]\n"
-               "                              [--metrics[=path]] "
-               "[--benchmark_...]\n");
-  return 2;
-}
 
 void print_region(std::uint64_t seed, double hub_separation_km) {
   const auto map = bench::make_eval_region(seed, 6, 8);
@@ -111,34 +97,12 @@ BENCHMARK(BM_RenderSitingMap)->Unit(benchmark::kMicrosecond);
 }  // namespace
 
 int main(int argc, char** argv) {
-  iris::obs::MetricsFlag metrics;
-  int kept = 1;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (iris::obs::parse_metrics_flag(arg, metrics)) continue;
-    if (arg.rfind("--benchmark_", 0) == 0) {
-      argv[kept++] = argv[i];
-      continue;
-    }
-    const auto kv = iris::obs::split_kv(arg);
-    if (kv && kv->first == "samples") {
-      const auto v = iris::obs::parse_ll(kv->second);
-      if (!v || *v < 2 || *v > 100000) {
-        return usage_error("malformed samples", argv[i]);
-      }
-      g_samples = static_cast<int>(*v);
-    } else {
-      return usage_error("unknown argument", argv[i]);
-    }
-  }
-  argc = kept;
-  argv[argc] = nullptr;
+  obs::Args args("bench_fig5_siting_maps");
+  args.option("samples", g_samples, obs::in(2, 100000))
+      .metrics()
+      .benchmark_flags();
+  if (const int rc = args.parse(argc, argv)) return rc;
 
   print_table();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  if (metrics.enabled && !iris::obs::dump_default_registry(metrics.path)) {
-    return 1;
-  }
-  return 0;
+  return bench::run_benchmarks(args);
 }

@@ -7,17 +7,11 @@
 // centralized one; transceivers dominate; the optical variant stays nearly
 // flat across the whole spectrum.
 //
-// Usage: bench_fig7_port_cost [dc_count=N] [ports_per_dc=N]
-//                             [--metrics[=path]] [--benchmark_...]
 // Overrides parse strictly (whole-token, exit 2 on garbage); with no
 // arguments the table is byte-identical to the historical run.
 #include <benchmark/benchmark.h>
 
-#include <string_view>
-
 #include "bench_util.hpp"
-#include "obs/argparse.hpp"
-#include "obs/export.hpp"
 #include "topology/port_model.hpp"
 
 namespace {
@@ -26,15 +20,6 @@ using namespace iris;
 
 int g_dc_count = 16;
 int g_ports_per_dc = 100;
-
-int usage_error(const char* what, const char* arg) {
-  std::fprintf(stderr, "bench_fig7_port_cost: %s '%s'\n", what, arg);
-  std::fprintf(stderr,
-               "usage: bench_fig7_port_cost [dc_count=N] [ports_per_dc=N]\n"
-               "                            [--metrics[=path]] "
-               "[--benchmark_...]\n");
-  return 2;
-}
 
 void print_table() {
   const auto prices = cost::PriceBook::paper_defaults();
@@ -93,35 +78,13 @@ BENCHMARK(BM_PortModelSweep);
 }  // namespace
 
 int main(int argc, char** argv) {
-  iris::obs::MetricsFlag metrics;
-  int kept = 1;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (iris::obs::parse_metrics_flag(arg, metrics)) continue;
-    if (arg.rfind("--benchmark_", 0) == 0) {
-      argv[kept++] = argv[i];
-      continue;
-    }
-    const auto kv = iris::obs::split_kv(arg);
-    if (kv && (kv->first == "dc_count" || kv->first == "ports_per_dc")) {
-      const auto v = iris::obs::parse_ll(kv->second);
-      if (!v || *v < 1 || *v > 1000000) {
-        return usage_error("malformed value", argv[i]);
-      }
-      (kv->first == "dc_count" ? g_dc_count : g_ports_per_dc) =
-          static_cast<int>(*v);
-    } else {
-      return usage_error("unknown argument", argv[i]);
-    }
-  }
-  argc = kept;
-  argv[argc] = nullptr;
+  obs::Args args("bench_fig7_port_cost");
+  args.option("dc_count", g_dc_count, obs::in(1, 1000000))
+      .option("ports_per_dc", g_ports_per_dc, obs::in(1, 1000000))
+      .metrics()
+      .benchmark_flags();
+  if (const int rc = args.parse(argc, argv)) return rc;
 
   print_table();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  if (metrics.enabled && !iris::obs::dump_default_registry(metrics.path)) {
-    return 1;
-  }
-  return 0;
+  return bench::run_benchmarks(args);
 }

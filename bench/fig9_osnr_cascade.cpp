@@ -4,17 +4,13 @@
 // figure; each doubling of the cascade adds ~3 dB, matching theory [32].
 // With a 9 dB amplifier budget, at most 3 amplifiers fit end-to-end (TC2).
 //
-// Usage: bench_fig9_osnr_cascade [max_amps=N] [--metrics[=path]]
-//                                [--benchmark_...]
 // Overrides parse strictly (whole-token, exit 2 on garbage); with no
 // arguments the table is byte-identical to the historical run.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
-#include <string_view>
 
-#include "obs/argparse.hpp"
-#include "obs/export.hpp"
+#include "bench_util.hpp"
 #include "optical/lightpath.hpp"
 #include "optical/osnr.hpp"
 
@@ -23,15 +19,6 @@ namespace {
 using namespace iris::optical;
 
 int g_max_amps = 8;
-
-int usage_error(const char* what, const char* arg) {
-  std::fprintf(stderr, "bench_fig9_osnr_cascade: %s '%s'\n", what, arg);
-  std::fprintf(stderr,
-               "usage: bench_fig9_osnr_cascade [max_amps=N]\n"
-               "                               [--metrics[=path]] "
-               "[--benchmark_...]\n");
-  return 2;
-}
 
 void print_table() {
   const OpticalSpec spec;
@@ -75,34 +62,12 @@ BENCHMARK(BM_BerModel);
 }  // namespace
 
 int main(int argc, char** argv) {
-  iris::obs::MetricsFlag metrics;
-  int kept = 1;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (iris::obs::parse_metrics_flag(arg, metrics)) continue;
-    if (arg.rfind("--benchmark_", 0) == 0) {
-      argv[kept++] = argv[i];
-      continue;
-    }
-    const auto kv = iris::obs::split_kv(arg);
-    if (kv && kv->first == "max_amps") {
-      const auto v = iris::obs::parse_ll(kv->second);
-      if (!v || *v < 0 || *v > 1000) {
-        return usage_error("malformed max_amps", argv[i]);
-      }
-      g_max_amps = static_cast<int>(*v);
-    } else {
-      return usage_error("unknown argument", argv[i]);
-    }
-  }
-  argc = kept;
-  argv[argc] = nullptr;
+  iris::obs::Args args("bench_fig9_osnr_cascade");
+  args.option("max_amps", g_max_amps, iris::obs::in(0, 1000))
+      .metrics()
+      .benchmark_flags();
+  if (const int rc = args.parse(argc, argv)) return rc;
 
   print_table();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  if (metrics.enabled && !iris::obs::dump_default_registry(metrics.path)) {
-    return 1;
-  }
-  return 0;
+  return iris::bench::run_benchmarks(args);
 }

@@ -21,43 +21,26 @@
 // and query load, and two more gates demand a clean post-run device audit
 // in every region and at least one recovery fleet-wide.
 //
-// Usage: bench_fleet_soak [regions] [seed] [key=value...] [--metrics[=path]]
-//   keys: samples (>= 1)        closed-loop samples per region
-//         queries (>= 1)        what-if queries per batch
-//         query_threads (>= 1)  engine pool size
-//         chaos (>= 0)          scripted duct-chaos period, 0 = off
-//         crash_every_cmds (>= 0)  supervised crash schedule, 0 = off
-//         latency_gate (> 0)    allowed tick-latency ratio under load
+// Keys: samples (closed-loop samples per region), queries (what-if queries
+// per batch), query_threads (engine pool size), chaos (scripted duct-chaos
+// period, 0 = off), crash_every_cmds (supervised crash schedule, 0 = off),
+// latency_gate (allowed tick-latency ratio under load).
 // Malformed or unknown arguments exit 2. --metrics exports the merged
 // fleet registry (all regions folded in region order, plus fleet.queries.*).
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
-#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "bench_util.hpp"
 #include "fleet/engine.hpp"
-#include "obs/argparse.hpp"
-#include "obs/export.hpp"
 #include "obs/metrics.hpp"
 
 namespace {
 
 using namespace iris;
-
-int usage_error(const char* what, const char* arg) {
-  std::fprintf(stderr, "bench_fleet_soak: %s '%s'\n", what, arg);
-  std::fprintf(
-      stderr,
-      "usage: bench_fleet_soak [regions] [seed] [key=value...]\n"
-      "                        [--metrics[=path]]\n"
-      "  keys: samples queries query_threads chaos crash_every_cmds\n"
-      "        (integers); latency_gate (ratio > 0)\n");
-  return 2;
-}
 
 double now_s() {
   return std::chrono::duration<double>(
@@ -112,57 +95,17 @@ int main(int argc, char** argv) {
   long long chaos = 40;
   long long crash_every_cmds = 0;
   double latency_gate = 2.0;
-  obs::MetricsFlag metrics;
-
-  int positionals = 0;
-  for (int i = 1; i < argc; ++i) {
-    if (obs::parse_metrics_flag(argv[i], metrics)) continue;
-    if (std::strchr(argv[i], '=') != nullptr) {
-      const auto kv = obs::split_kv(argv[i]);
-      if (!kv) return usage_error("override is not key=value", argv[i]);
-      if (kv->first == "latency_gate") {
-        const auto v = obs::parse_double(kv->second);
-        if (!v || *v <= 0.0) {
-          return usage_error("malformed latency_gate value", argv[i]);
-        }
-        latency_gate = *v;
-        continue;
-      }
-      const auto v = obs::parse_ll(kv->second);
-      if (!v) return usage_error("malformed integer value", argv[i]);
-      if (kv->first == "samples" && *v >= 1 &&
-          *v <= std::numeric_limits<int>::max()) {
-        samples = static_cast<int>(*v);
-      } else if (kv->first == "queries" && *v >= 1 &&
-                 *v <= std::numeric_limits<int>::max()) {
-        queries = static_cast<int>(*v);
-      } else if (kv->first == "query_threads" && *v >= 1 && *v <= 256) {
-        query_threads = static_cast<int>(*v);
-      } else if (kv->first == "chaos" && *v >= 0) {
-        chaos = *v;
-      } else if (kv->first == "crash_every_cmds" && *v >= 0) {
-        crash_every_cmds = *v;
-      } else {
-        return usage_error("unknown or out-of-range override", argv[i]);
-      }
-      continue;
-    }
-    if (positionals == 0) {
-      const auto v = obs::parse_ll(argv[i]);
-      if (!v || *v < 1 || *v > 64) {
-        return usage_error("malformed region count", argv[i]);
-      }
-      regions = static_cast<int>(*v);
-      ++positionals;
-    } else if (positionals == 1) {
-      const auto v = obs::parse_ull(argv[i]);
-      if (!v) return usage_error("malformed seed", argv[i]);
-      seed = *v;
-      ++positionals;
-    } else {
-      return usage_error("unexpected argument", argv[i]);
-    }
-  }
+  obs::Args args("bench_fleet_soak");
+  args.positional("regions", regions, obs::in(1, 64))
+      .positional("seed", seed)
+      .option("samples", samples, obs::at_least(1))
+      .option("queries", queries, obs::at_least(1))
+      .option("query_threads", query_threads, obs::in(1, 256))
+      .option("chaos", chaos, obs::at_least(0))
+      .option("crash_every_cmds", crash_every_cmds, obs::at_least(0))
+      .option("latency_gate", latency_gate, obs::above(0.0))
+      .metrics();
+  if (const int rc = args.parse(argc, argv)) return rc;
 
   fleet::FleetParams params;
   params.regions = regions;
@@ -274,12 +217,12 @@ int main(int argc, char** argv) {
   std::printf("what-if QPS %.1f (%lld queries, %lld rounds, %d threads)\n",
               qps, engine.total(), rounds, query_threads);
 
-  if (metrics.enabled) {
+  if (args.metrics_requested()) {
     obs::MetricsRegistry merged;
     loaded.merge_metrics(merged);
     engine.fold_into(merged);
     const obs::ScopedRegistry bind(merged);
-    if (!obs::dump_default_registry(metrics.path)) return 2;
+    if (bench::finish(args) != 0) return 1;
   }
 
   int failures = 0;

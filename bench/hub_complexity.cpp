@@ -6,19 +6,15 @@
 // that are "just a few rack-units" and mostly passive. This bench sizes both
 // for growing regions.
 //
-// Usage: bench_hub_complexity [lambda=N] [flows=N] [--metrics[=path]]
-//                             [--benchmark_...]
 // Overrides parse strictly (whole-token, exit 2 on garbage); with no
 // arguments the table is byte-identical to the historical run.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
-#include <string_view>
 
+#include "bench_util.hpp"
 #include "clos/ecmp.hpp"
 #include "clos/fabric.hpp"
-#include "obs/argparse.hpp"
-#include "obs/export.hpp"
 
 namespace {
 
@@ -26,15 +22,6 @@ using namespace iris::clos;
 
 int g_lambda = 40;           // wavelengths per fiber in the sizing model
 long long g_flows = 1000000; // flows in the ECMP spread experiment
-
-int usage_error(const char* what, const char* arg) {
-  std::fprintf(stderr, "bench_hub_complexity: %s '%s'\n", what, arg);
-  std::fprintf(stderr,
-               "usage: bench_hub_complexity [lambda=N] [flows=N]\n"
-               "                            [--metrics[=path]] "
-               "[--benchmark_...]\n");
-  return 2;
-}
 
 void print_table() {
   std::printf("# Hub footprint: electrical Clos vs Iris OSS\n");
@@ -87,40 +74,13 @@ BENCHMARK(BM_EcmpHash);
 }  // namespace
 
 int main(int argc, char** argv) {
-  iris::obs::MetricsFlag metrics;
-  int kept = 1;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (iris::obs::parse_metrics_flag(arg, metrics)) continue;
-    if (arg.rfind("--benchmark_", 0) == 0) {
-      argv[kept++] = argv[i];
-      continue;
-    }
-    const auto kv = iris::obs::split_kv(arg);
-    if (kv && kv->first == "lambda") {
-      const auto v = iris::obs::parse_ll(kv->second);
-      if (!v || *v < 1 || *v > 1000) {
-        return usage_error("malformed lambda", argv[i]);
-      }
-      g_lambda = static_cast<int>(*v);
-    } else if (kv && kv->first == "flows") {
-      const auto v = iris::obs::parse_ll(kv->second);
-      if (!v || *v < 1 || *v > 1000000000LL) {
-        return usage_error("malformed flows", argv[i]);
-      }
-      g_flows = *v;
-    } else {
-      return usage_error("unknown argument", argv[i]);
-    }
-  }
-  argc = kept;
-  argv[argc] = nullptr;
+  iris::obs::Args args("bench_hub_complexity");
+  args.option("lambda", g_lambda, iris::obs::in(1, 1000))
+      .option("flows", g_flows, iris::obs::in(1, 1e9))
+      .metrics()
+      .benchmark_flags();
+  if (const int rc = args.parse(argc, argv)) return rc;
 
   print_table();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  if (metrics.enabled && !iris::obs::dump_default_registry(metrics.path)) {
-    return 1;
-  }
-  return 0;
+  return iris::bench::run_benchmarks(args);
 }

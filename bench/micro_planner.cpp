@@ -13,7 +13,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
-#include <string_view>
 
 #include "bench_util.hpp"
 #include "core/plan_diff.hpp"
@@ -21,8 +20,6 @@
 #include "graph/failures.hpp"
 #include "graph/hose.hpp"
 #include "graph/shortest_path.hpp"
-#include "obs/argparse.hpp"
-#include "obs/export.hpp"
 
 namespace {
 
@@ -300,39 +297,15 @@ int run_replan_table(bool gate) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  obs::MetricsFlag metrics;
   bool replan_mode = false;
-  int kept = 1;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg == "--replan") {
-      replan_mode = true;
-    } else if (obs::parse_metrics_flag(arg, metrics)) {
-      // consumed
-    } else if (arg.rfind("--benchmark_", 0) == 0) {
-      argv[kept++] = argv[i];
-    } else {
-      // Strict surface: anything that is not ours or google-benchmark's is
-      // a typo, not something to silently forward.
-      std::fprintf(stderr, "bench_micro_planner: unknown argument '%s'\n",
-                   argv[i]);
-      std::fprintf(stderr,
-                   "usage: bench_micro_planner [--replan] [--metrics[=path]] "
-                   "[--benchmark_...]\n");
-      return 2;
-    }
-  }
-  argc = kept;
-  argv[argc] = nullptr;
+  obs::Args args("bench_micro_planner");
+  args.flag("--replan", replan_mode,
+            "20-DC incremental-replan table and its >= 10x gate")
+      .metrics()
+      .benchmark_flags();
+  if (const int rc = args.parse(argc, argv)) return rc;
 
-  int rc = 0;
-  if (replan_mode) {
-    rc = run_replan_table(/*gate=*/true);
-  } else {
-    print_parallel_speedup();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-  }
-  if (metrics.enabled && !obs::dump_default_registry(metrics.path)) rc = 1;
-  return rc;
+  if (replan_mode) return bench::finish(args, run_replan_table(/*gate=*/true));
+  print_parallel_speedup();
+  return bench::run_benchmarks(args);
 }

@@ -7,21 +7,14 @@
 // failure model: per-pair availability under the distributed (any surviving
 // path) criterion versus the centralized (must transit a hub) criterion.
 //
-// Usage: bench_reliability_availability [key=value...] [--metrics[=path]]
-//                                       [--benchmark_* flags]
-//   keys: cut_rate disasters_per_year disaster_radius_km disaster_repair_days
-//         mean_repair_hours horizon_years
 // Malformed or unknown arguments exit with code 2; with no arguments the
 // table is byte-identical to the unparameterized run.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <cstring>
 #include <vector>
 
 #include "bench_util.hpp"
-#include "obs/argparse.hpp"
-#include "obs/export.hpp"
 #include "reliability/availability.hpp"
 
 namespace {
@@ -62,31 +55,6 @@ reliability::FailureModel table_model() {
   model.mean_repair_hours = 12.0;
   model.horizon_years = 400.0;
   return model;
-}
-
-/// Stores one model value under its key; returns false on an unknown key
-/// (range validation is the caller's).
-bool set_model_value(reliability::FailureModel& model, const std::string& key,
-                     double value) {
-  if (key == "cut_rate") model.cuts_per_km_year = value;
-  else if (key == "disasters_per_year") model.disasters_per_year = value;
-  else if (key == "disaster_radius_km") model.disaster_radius_km = value;
-  else if (key == "disaster_repair_days") model.disaster_repair_days = value;
-  else if (key == "mean_repair_hours") model.mean_repair_hours = value;
-  else if (key == "horizon_years") model.horizon_years = value;
-  else return false;
-  return true;
-}
-
-int usage_error(const char* what, const char* arg) {
-  std::fprintf(stderr, "bench_reliability_availability: %s '%s'\n", what, arg);
-  std::fprintf(stderr,
-               "usage: bench_reliability_availability [key=value...]\n"
-               "         [--metrics[=path]] [--benchmark_* flags]\n"
-               "  keys: cut_rate disasters_per_year disaster_radius_km\n"
-               "        disaster_repair_days mean_repair_hours horizon_years\n"
-               "        (rates and radii >= 0; repair/horizon > 0)\n");
-  return 2;
 }
 
 void print_table(reliability::FailureModel model) {
@@ -158,36 +126,18 @@ BENCHMARK(BM_AvailabilitySimulation)->Unit(benchmark::kMillisecond);
 
 int main(int argc, char** argv) {
   reliability::FailureModel model = table_model();
-  obs::MetricsFlag metrics;
-  // Strict parsing: --benchmark_* flags pass through to the benchmark
-  // library; everything else must be a known key=value (the atof family
-  // used to turn garbage into silent zeros).
-  std::vector<char*> bench_args{argv[0]};
-  for (int i = 1; i < argc; ++i) {
-    if (obs::parse_metrics_flag(argv[i], metrics)) continue;
-    if (std::strncmp(argv[i], "--benchmark_", 12) == 0) {
-      bench_args.push_back(argv[i]);
-      continue;
-    }
-    const auto kv = obs::split_kv(argv[i]);
-    if (!kv) return usage_error("argument is not key=value", argv[i]);
-    const auto v = obs::parse_double(kv->second);
-    if (!v || *v < 0.0) {
-      return usage_error("value not a number >= 0", argv[i]);
-    }
-    if (!set_model_value(model, kv->first, *v)) {
-      return usage_error("unknown model key", argv[i]);
-    }
-  }
-  if (model.mean_repair_hours <= 0.0 || model.horizon_years <= 0.0) {
-    return usage_error("repair/horizon must be > 0",
-                       model.mean_repair_hours <= 0.0 ? "mean_repair_hours"
-                                                      : "horizon_years");
-  }
+  obs::Args args("bench_reliability_availability");
+  const auto non_negative = obs::at_least(0.0);
+  args.option("cut_rate", model.cuts_per_km_year, non_negative)
+      .option("disasters_per_year", model.disasters_per_year, non_negative)
+      .option("disaster_radius_km", model.disaster_radius_km, non_negative)
+      .option("disaster_repair_days", model.disaster_repair_days, non_negative)
+      .option("mean_repair_hours", model.mean_repair_hours, obs::above(0.0))
+      .option("horizon_years", model.horizon_years, obs::above(0.0))
+      .metrics()
+      .benchmark_flags();
+  if (const int rc = args.parse(argc, argv)) return rc;
+
   print_table(model);
-  int bench_argc = static_cast<int>(bench_args.size());
-  benchmark::Initialize(&bench_argc, bench_args.data());
-  benchmark::RunSpecifiedBenchmarks();
-  if (metrics.enabled && !obs::dump_default_registry(metrics.path)) return 2;
-  return 0;
+  return bench::run_benchmarks(args);
 }

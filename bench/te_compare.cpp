@@ -10,12 +10,8 @@
 // the demand-aware engine fails its acceptance contract: it must
 // reconfigure no more often than EWMA, deliver equal or better worst-case
 // throughput, and move strictly fewer fibers per steady-state
-// reconfiguration -- so CI can run this as a gate.
-//
-// Usage: bench_te_compare [duration_s] [seed] [change_fraction]
-//                         [--metrics[=path]]
-// Malformed arguments exit 2 with a usage message (atof used to turn
-// garbage into a silent zero-duration run).
+// reconfiguration -- so CI can run this as a gate. Malformed arguments
+// exit 2 (atof used to turn garbage into a silent zero-duration run).
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -23,8 +19,6 @@
 
 #include "bench_util.hpp"
 #include "control/closed_loop.hpp"
-#include "obs/argparse.hpp"
-#include "obs/export.hpp"
 #include "simflow/demand_adapter.hpp"
 #include "te/engine.hpp"
 
@@ -137,41 +131,16 @@ RunStats drive(const char* name, control::IrisController& controller,
 
 }  // namespace
 
-int usage_error(const char* what, const char* arg) {
-  std::fprintf(stderr, "bench_te_compare: %s '%s'\n", what, arg);
-  std::fprintf(stderr,
-               "usage: bench_te_compare [duration_s] [seed] [change_fraction]"
-               "\n                        [--metrics[=path]]\n");
-  return 2;
-}
-
 int main(int argc, char** argv) {
   double duration_s = 600.0;
   std::uint64_t seed = 11;
   double change_fraction = 0.5;
-  obs::MetricsFlag metrics;
-  int positionals = 0;
-  for (int i = 1; i < argc; ++i) {
-    if (obs::parse_metrics_flag(argv[i], metrics)) continue;
-    if (positionals == 0) {
-      const auto v = obs::parse_double(argv[i]);
-      if (!v || *v <= 0.0) return usage_error("malformed duration_s", argv[i]);
-      duration_s = *v;
-    } else if (positionals == 1) {
-      const auto v = obs::parse_ull(argv[i]);
-      if (!v) return usage_error("malformed seed", argv[i]);
-      seed = *v;
-    } else if (positionals == 2) {
-      const auto v = obs::parse_double(argv[i]);
-      if (!v || *v < 0.0 || *v > 1.0) {
-        return usage_error("change_fraction not a number in [0,1]", argv[i]);
-      }
-      change_fraction = *v;
-    } else {
-      return usage_error("unexpected argument", argv[i]);
-    }
-    ++positionals;
-  }
+  obs::Args args("bench_te_compare");
+  args.positional("duration_s", duration_s, obs::above(0.0))
+      .positional("seed", seed)
+      .positional("change_fraction", change_fraction, obs::in(0.0, 1.0))
+      .metrics();
+  if (const int rc = args.parse(argc, argv)) return rc;
 
   constexpr int kLambda = 40;
   const auto map = bench::make_eval_region(11, 6, 16);
@@ -269,6 +238,5 @@ int main(int argc, char** argv) {
               ok ? "PASS" : "FAIL", da_run.reconfigs, ewma.reconfigs,
               100.0 * da_run.worst_sample, 100.0 * ewma.worst_sample,
               da_run.moved_per_reconfig(), ewma.moved_per_reconfig());
-  if (metrics.enabled && !obs::dump_default_registry(metrics.path)) return 2;
-  return ok ? 0 : 1;
+  return bench::finish(args, ok ? 0 : 1);
 }

@@ -6,9 +6,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 
 #include "fibermap/generator.hpp"
+#include "obs/argparse.hpp"
 #include "reliability/availability.hpp"
 
 namespace {
@@ -21,8 +21,12 @@ double nines(double availability) {
 
 int main(int argc, char** argv) {
   using namespace iris;
-  const std::uint64_t seed = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 33;
-  const double years = argc > 2 ? std::atof(argv[2]) : 300.0;
+  long long seed = 33;
+  double years = 300.0;
+  obs::Args args("availability_report");
+  args.positional("seed", seed, obs::at_least(0))
+      .positional("years", years, obs::above(0.0));
+  if (const int rc = args.parse(argc, argv)) return rc;
 
   fibermap::RegionParams region;
   region.seed = seed;

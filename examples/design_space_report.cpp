@@ -5,11 +5,11 @@
 // Usage: ./build/examples/design_space_report [seed] [dc_count]
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 
 #include "core/centralized.hpp"
 #include "core/plan_region.hpp"
 #include "fibermap/generator.hpp"
+#include "obs/argparse.hpp"
 #include "topology/latency.hpp"
 #include "topology/port_model.hpp"
 #include "topology/siting.hpp"
@@ -17,8 +17,12 @@
 int main(int argc, char** argv) {
   using namespace iris;
 
-  const std::uint64_t seed = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 7;
-  const int dc_count = argc > 2 ? std::atoi(argv[2]) : 8;
+  long long seed = 7;
+  int dc_count = 8;
+  obs::Args args("design_space_report");
+  args.positional("seed", seed, obs::at_least(0))
+      .positional("dc_count", dc_count, obs::at_least(1));
+  if (const int rc = args.parse(argc, argv)) return rc;
 
   fibermap::RegionParams region;
   region.seed = seed;

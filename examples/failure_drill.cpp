@@ -6,17 +6,20 @@
 // Usage: ./build/examples/failure_drill [tolerance]
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <vector>
 
 #include "core/plan_region.hpp"
 #include "fibermap/generator.hpp"
 #include "graph/shortest_path.hpp"
+#include "obs/argparse.hpp"
 
 int main(int argc, char** argv) {
   using namespace iris;
 
-  const int tolerance = argc > 1 ? std::atoi(argv[1]) : 2;
+  int tolerance = 2;
+  obs::Args args("failure_drill");
+  args.positional("tolerance", tolerance, obs::at_least(0));
+  if (const int rc = args.parse(argc, argv)) return rc;
 
   fibermap::RegionParams region;
   region.seed = 31;

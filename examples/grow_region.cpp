@@ -8,17 +8,20 @@
 // Usage: ./build/examples/grow_region [seed]
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <vector>
 
 #include "core/expansion.hpp"
 #include "fibermap/generator.hpp"
 #include "fibermap/render.hpp"
 #include "geo/service_area.hpp"
+#include "obs/argparse.hpp"
 
 int main(int argc, char** argv) {
   using namespace iris;
-  const std::uint64_t seed = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 77;
+  long long seed = 77;
+  obs::Args args("grow_region");
+  args.positional("seed", seed, obs::at_least(0));
+  if (const int rc = args.parse(argc, argv)) return rc;
 
   fibermap::RegionParams region;
   region.seed = seed;

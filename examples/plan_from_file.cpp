@@ -6,9 +6,8 @@
 //   ./build/examples/plan_from_file <map-file> [tolerance] [lambda]
 //   ./build/examples/plan_from_file --generate <map-file>   # write a sample
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
+#include <string>
 
 #include "core/plan_region.hpp"
 #include "core/report.hpp"
@@ -16,10 +15,11 @@
 #include "fibermap/render.hpp"
 #include "fibermap/serialize.hpp"
 #include "graph/resilience.hpp"
+#include "obs/argparse.hpp"
 
 namespace {
 
-int generate_sample(const char* path) {
+int generate_sample(const std::string& path) {
   iris::fibermap::RegionParams params;
   params.dc_count = 6;
   params.capacity_fibers = 16;
@@ -28,11 +28,11 @@ int generate_sample(const char* path) {
   const auto map = iris::fibermap::generate_region(params);
   std::ofstream out(path);
   if (!out) {
-    std::fprintf(stderr, "cannot write %s\n", path);
+    std::fprintf(stderr, "cannot write %s\n", path.c_str());
     return 1;
   }
   iris::fibermap::save(map, out);
-  std::printf("wrote sample region to %s\n", path);
+  std::printf("wrote sample region to %s\n", path.c_str());
   return 0;
 }
 
@@ -40,20 +40,21 @@ int generate_sample(const char* path) {
 
 int main(int argc, char** argv) {
   using namespace iris;
-  if (argc >= 3 && std::strcmp(argv[1], "--generate") == 0) {
-    return generate_sample(argv[2]);
-  }
-  if (argc < 2) {
-    std::fprintf(stderr,
-                 "usage: %s <map-file> [tolerance] [lambda]\n"
-                 "       %s --generate <map-file>\n",
-                 argv[0], argv[0]);
-    return 2;
-  }
+  std::string path;
+  int tolerance = 1;
+  int lambda = 40;
+  bool generate = false;
+  obs::Args args("plan_from_file");
+  args.required("map-file", path)
+      .positional("tolerance", tolerance, obs::at_least(0))
+      .positional("lambda", lambda, obs::at_least(1))
+      .flag("--generate", generate, "write a sample region to <map-file>");
+  if (const int rc = args.parse(argc, argv)) return rc;
+  if (generate) return generate_sample(path);
 
-  std::ifstream in(argv[1]);
+  std::ifstream in(path);
   if (!in) {
-    std::fprintf(stderr, "cannot read %s\n", argv[1]);
+    std::fprintf(stderr, "cannot read %s\n", path.c_str());
     return 1;
   }
   fibermap::FiberMap map;
@@ -63,9 +64,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "parse error: %s\n", e.what());
     return 1;
   }
-  const int tolerance = argc > 2 ? std::atoi(argv[2]) : 1;
-  const int lambda = argc > 3 ? std::atoi(argv[3]) : 40;
-
   core::PlannerParams params;
   params.failure_tolerance = tolerance;
   params.channels.wavelengths_per_fiber = lambda;

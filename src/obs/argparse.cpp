@@ -1,8 +1,10 @@
 #include "obs/argparse.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 
 namespace iris::obs {
@@ -57,28 +59,109 @@ std::optional<unsigned long long> parse_ull(std::string_view s) {
   return v;
 }
 
-std::optional<std::pair<std::string, std::string>> split_kv(
-    std::string_view arg) {
-  const auto eq = arg.find('=');
-  if (eq == std::string_view::npos || eq == 0) return std::nullopt;
-  return std::make_pair(std::string(arg.substr(0, eq)),
-                        std::string(arg.substr(eq + 1)));
+Args& Args::flag(std::string name, bool& target, std::string help) {
+  flags_.push_back({std::move(name), &target, std::move(help)});
+  return *this;
 }
 
-bool parse_metrics_flag(std::string_view arg, MetricsFlag& out) {
-  constexpr std::string_view kFlag = "--metrics";
-  if (arg == kFlag) {
-    out.enabled = true;
-    out.path.clear();
-    return true;
+Args& Args::metrics() {
+  accepts_metrics_ = true;
+  return *this;
+}
+
+Args& Args::benchmark_flags() {
+  forwards_benchmark_ = true;
+  return *this;
+}
+
+int Args::parse(int argc, char** argv) {
+  constexpr std::string_view kMetrics = "--metrics";
+  benchmark_argv_.assign(1, argc > 0 ? argv[0] : prog_.data());
+  std::size_t next = 0;  // next positional to fill
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    if (accepts_metrics_ && arg.starts_with(kMetrics) &&
+        (arg.size() == kMetrics.size() || arg[kMetrics.size()] == '=')) {
+      metrics_requested_ = true;
+      metrics_path_ = arg.substr(std::min(arg.size(), kMetrics.size() + 1));
+      continue;
+    }
+    const auto bare =
+        std::find_if(flags_.begin(), flags_.end(),
+                     [&](const Flag& f) { return f.name == arg; });
+    if (bare != flags_.end()) {
+      *bare->target = true;
+      continue;
+    }
+    if (forwards_benchmark_ && arg.starts_with("--benchmark_")) {
+      benchmark_argv_.push_back(argv[i]);
+      continue;
+    }
+    const auto eq = arg.find('=');
+    if (!options_.empty() && eq != std::string_view::npos && eq > 0) {
+      const auto key = arg.substr(0, eq);
+      const auto opt =
+          std::find_if(options_.begin(), options_.end(),
+                       [&](const Param& p) { return p.name == key; });
+      if (opt == options_.end()) return fail("unknown argument", arg);
+      if (!opt->set(arg.substr(eq + 1))) {
+        return fail("malformed " + opt->name, arg);
+      }
+      continue;
+    }
+    if (next == positionals_.size()) return fail("unknown argument", arg);
+    const Param& pos = positionals_[next++];
+    if (!pos.set(arg)) return fail("malformed " + pos.name, arg);
   }
-  if (arg.size() > kFlag.size() && arg.substr(0, kFlag.size()) == kFlag &&
-      arg[kFlag.size()] == '=') {
-    out.enabled = true;
-    out.path = std::string(arg.substr(kFlag.size() + 1));
-    return true;
+  if (next < positionals_.size() && positionals_[next].required) {
+    return fail("missing argument", positionals_[next].name);
   }
-  return false;
+  benchmark_argv_.push_back(nullptr);
+  return 0;
+}
+
+int Args::fail(std::string_view what, std::string_view token) const {
+  std::fprintf(stderr, "%s: %.*s '%.*s'\n%s", prog_.c_str(),
+               static_cast<int>(what.size()), what.data(),
+               static_cast<int>(token.size()), token.data(), usage().c_str());
+  return 2;
+}
+
+std::string Args::usage() const {
+  std::string synopsis = "usage: " + prog_;
+  std::string details;
+  const auto detail = [&](const std::string& name, const std::string& text) {
+    constexpr std::size_t kColumn = 22;
+    const std::size_t pad = name.size() < kColumn ? kColumn - name.size() : 1;
+    details += "  " + name + std::string(pad, ' ') + text + "\n";
+  };
+  for (const auto& p : positionals_) {
+    synopsis += p.required ? " <" + p.name + ">" : " [" + p.name + "]";
+    detail(p.name, p.kind);
+  }
+  if (!options_.empty()) synopsis += " [key=value...]";
+  for (const auto& p : options_) detail(p.name + "=", p.kind);
+  for (const auto& f : flags_) {
+    synopsis += " [" + f.name + "]";
+    detail(f.name, f.help);
+  }
+  if (accepts_metrics_) synopsis += " [--metrics[=path]]";
+  if (forwards_benchmark_) synopsis += " [--benchmark_...]";
+  return synopsis + "\n" + details;
+}
+
+std::string Args::describe(const char* type, Range range) {
+  const auto num = [](double v) {
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%.15g", v);
+    return std::string(buf);
+  };
+  const std::string lo = (range.lo_open ? " > " : " >= ") + num(range.lo);
+  if (std::isinf(range.hi)) {
+    return std::isinf(range.lo) ? type : type + lo;
+  }
+  return type + std::string(" in ") + (range.lo_open ? "(" : "[") +
+         num(range.lo) + ", " + num(range.hi) + "]";
 }
 
 }  // namespace iris::obs

@@ -1,11 +1,13 @@
 // Observability layer: registry semantics, export determinism (including
 // across provisioning thread counts), virtual-clock span nesting, strict
-// bench argv parsing, and the degraded-time accounting regression.
+// bench and example argv parsing, and the degraded-time accounting regression.
 //
 // Every registry-dependent test resets the process-wide registry first and
 // skips under -DIRIS_OBS=OFF, where the whole subsystem is no-op stubs.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -191,27 +193,248 @@ TEST(ObsArgparse, ParseIntegersRejectTrailingJunk) {
   EXPECT_EQ(parse_ull("42").value(), 42ULL);
 }
 
+/// An argv for Args::parse with "prog" as argv[0]; owns the token storage,
+/// which benchmark_argv() points into.
+struct Argv {
+  explicit Argv(std::initializer_list<const char*> tokens) {
+    strings.emplace_back("prog");
+    strings.insert(strings.end(), tokens.begin(), tokens.end());
+    for (auto& s : strings) ptrs.push_back(s.data());
+    ptrs.push_back(nullptr);
+  }
+  /// Parses and returns the exit code, keeping stderr in `err`.
+  int parse(Args& args) {
+    ::testing::internal::CaptureStderr();
+    const int rc = args.parse(static_cast<int>(ptrs.size()) - 1, ptrs.data());
+    err = ::testing::internal::GetCapturedStderr();
+    return rc;
+  }
+  std::vector<std::string> strings;
+  std::vector<char*> ptrs;
+  std::string err;
+};
+
 TEST(ObsArgparse, SplitKvRequiresAKey) {
-  EXPECT_FALSE(split_kv("novalue").has_value());
-  EXPECT_FALSE(split_kv("=3").has_value());
-  const auto kv = split_kv("amp_dead=0.1").value();
-  EXPECT_EQ(kv.first, "amp_dead");
-  EXPECT_EQ(kv.second, "0.1");
-  EXPECT_EQ(split_kv("k=").value().second, "");
+  double amp_dead = 0.0;
+  std::string text = "unset";
+  const auto make = [&] {
+    Args args("prog");
+    args.option("amp_dead", amp_dead, in(0.0, 1.0)).option("k", text);
+    return args;
+  };
+  for (const char* bad : {"novalue", "=3"}) {
+    auto args = make();
+    Argv argv{bad};
+    EXPECT_EQ(argv.parse(args), 2) << bad;
+    EXPECT_NE(argv.err.find(std::string("unknown argument '") + bad + "'"),
+              std::string::npos);
+  }
+  auto args = make();
+  Argv argv{"amp_dead=0.1", "k="};
+  ASSERT_EQ(argv.parse(args), 0) << argv.err;
+  EXPECT_DOUBLE_EQ(amp_dead, 0.1);
+  EXPECT_EQ(text, "");  // an empty value is still a value
+  // "=3" has no key, so it is a positional's token, not an option's.
+  std::string pos;
+  Args with_pos("prog");
+  with_pos.positional("pos", pos).option("k", text);
+  Argv eq{"=3"};
+  ASSERT_EQ(eq.parse(with_pos), 0) << eq.err;
+  EXPECT_EQ(pos, "=3");
 }
 
 TEST(ObsArgparse, MetricsFlagForms) {
-  MetricsFlag flag;
-  EXPECT_FALSE(parse_metrics_flag("--metricsfoo", flag));
-  EXPECT_FALSE(parse_metrics_flag("metrics", flag));
-  EXPECT_FALSE(flag.enabled);
-  EXPECT_TRUE(parse_metrics_flag("--metrics", flag));
-  EXPECT_TRUE(flag.enabled);
-  EXPECT_TRUE(flag.path.empty());
-  EXPECT_TRUE(parse_metrics_flag("--metrics=/tmp/m.txt", flag));
-  EXPECT_EQ(flag.path, "/tmp/m.txt");
-  EXPECT_TRUE(parse_metrics_flag("--metrics=", flag));
-  EXPECT_TRUE(flag.path.empty());  // empty path means stdout
+  for (const char* bad : {"--metricsfoo", "metrics"}) {
+    Args args("prog");
+    args.metrics();
+    Argv argv{bad};
+    EXPECT_EQ(argv.parse(args), 2) << bad;
+    EXPECT_FALSE(args.metrics_requested());
+  }
+  const auto metrics_path = [](std::initializer_list<const char*> tokens) {
+    Args args("prog");
+    args.metrics();
+    Argv argv(tokens);
+    EXPECT_EQ(argv.parse(args), 0) << argv.err;
+    EXPECT_TRUE(args.metrics_requested());
+    return args.metrics_path();
+  };
+  EXPECT_EQ(metrics_path({"--metrics"}), "");
+  EXPECT_EQ(metrics_path({"--metrics=/tmp/m.txt"}), "/tmp/m.txt");
+  EXPECT_EQ(metrics_path({"--metrics="}), "");  // empty path means stdout
+  EXPECT_EQ(metrics_path({"--metrics=/tmp/m.txt", "--metrics"}), "");
+  // A main that does not declare the export rejects the flag.
+  Args bare("prog");
+  Argv argv{"--metrics"};
+  EXPECT_EQ(argv.parse(bare), 2);
+}
+
+TEST(ObsArgs, PositionalsFillInDeclarationOrder) {
+  double duration = 600.0;
+  std::uint64_t seed = 11;
+  double fraction = 0.5;
+  const auto make = [&] {
+    Args args("prog");
+    args.positional("duration_s", duration, above(0.0))
+        .positional("seed", seed)
+        .positional("change_fraction", fraction, in(0.0, 1.0));
+    return args;
+  };
+  auto args = make();
+  Argv one{"120"};
+  ASSERT_EQ(one.parse(args), 0);
+  EXPECT_EQ(duration, 120.0);
+  EXPECT_EQ(seed, 11u);  // unset positionals keep their defaults
+  auto args3 = make();
+  Argv three{"30", "0x5eed", "0.25"};
+  ASSERT_EQ(three.parse(args3), 0);
+  EXPECT_EQ(seed, 0x5eedu);
+  EXPECT_EQ(fraction, 0.25);
+  auto args4 = make();
+  Argv four{"30", "7", "0.5", "extra"};
+  EXPECT_EQ(four.parse(args4), 2);
+  EXPECT_NE(four.err.find("prog: unknown argument 'extra'"), std::string::npos);
+  auto bad = make();
+  Argv garbage{"30", "5eed"};
+  EXPECT_EQ(garbage.parse(bad), 2);
+  EXPECT_NE(garbage.err.find("prog: malformed seed '5eed'"), std::string::npos);
+
+  std::string path;
+  int tolerance = 1;
+  Args req("prog");
+  req.required("map-file", path).positional("tolerance", tolerance,
+                                            at_least(0));
+  Argv none{};
+  EXPECT_EQ(none.parse(req), 2);
+  EXPECT_NE(none.err.find("prog: missing argument 'map-file'"),
+            std::string::npos);
+}
+
+TEST(ObsArgs, KeyValueBoundsAreInclusiveOrExclusive) {
+  struct Case {
+    const char* token;
+    int rc;
+  };
+  int regions = 0;
+  double gate = 0.0;
+  double rate = 0.0;
+  int samples = 0;
+  long long chaos = 0;
+  bool async = false;
+  const auto make = [&] {
+    Args args("prog");
+    args.option("regions", regions, in(1, 64))
+        .option("gate", gate, above(0.0))
+        .option("rate", rate, in(0.0, 1.0))
+        .option("samples", samples, at_least(0))
+        .option("chaos", chaos, at_least(0))
+        .option("async", async);
+    return args;
+  };
+  for (const Case& c : std::vector<Case>{
+           {"regions=1", 0}, {"regions=64", 0}, {"regions=0", 2},
+           {"regions=65", 2}, {"regions=1.5", 2}, {"gate=1e-9", 0},
+           {"gate=0", 2}, {"gate=-1", 2}, {"rate=0", 0}, {"rate=1", 0},
+           {"rate=1.5", 2}, {"rate=nan", 2}, {"samples=2147483647", 0},
+           // int targets also stop at the type's own limit
+           {"samples=2147483648", 2}, {"chaos=2147483648", 0},
+           {"chaos=-1", 2}, {"async=1", 0}, {"async=2", 2}}) {
+    auto args = make();
+    Argv argv{c.token};
+    EXPECT_EQ(argv.parse(args), c.rc) << c.token;
+    if (c.rc == 2) {
+      EXPECT_NE(argv.err.find(std::string("'") + c.token + "'"),
+                std::string::npos);
+    }
+  }
+}
+
+TEST(ObsArgs, BareFlagsSetTheirTarget) {
+  bool replan = false;
+  const auto make = [&] {
+    Args args("prog");
+    args.flag("--replan", replan, "replan table");
+    return args;
+  };
+  auto args = make();
+  Argv argv{"--replan"};
+  ASSERT_EQ(argv.parse(args), 0);
+  EXPECT_TRUE(replan);
+  for (const char* bad : {"--replan=1", "--repla", "replan", "--bogus"}) {
+    auto strict = make();
+    Argv b{bad};
+    EXPECT_EQ(b.parse(strict), 2) << bad;
+  }
+}
+
+TEST(ObsArgs, RepeatedKeyLastValueWins) {
+  int lambda = 40;
+  Args args("prog");
+  args.option("lambda", lambda, in(1, 1000));
+  Argv argv{"lambda=8", "lambda=64"};
+  ASSERT_EQ(argv.parse(args), 0);
+  EXPECT_EQ(lambda, 64);
+  // Each occurrence is checked on its own.
+  Args strict("prog");
+  strict.option("lambda", lambda, in(1, 1000));
+  Argv bad{"lambda=0", "lambda=64"};
+  EXPECT_EQ(bad.parse(strict), 2);
+}
+
+TEST(ObsArgs, BenchmarkFlagsForwardOnlyWhenDeclared) {
+  Args args("prog");
+  args.metrics().benchmark_flags();
+  Argv argv{"--benchmark_filter=NONE", "--metrics", "--benchmark_min_time=0"};
+  ASSERT_EQ(argv.parse(args), 0);
+  const auto& fwd = args.benchmark_argv();
+  ASSERT_EQ(fwd.size(), 4u);
+  EXPECT_STREQ(fwd[0], "prog");
+  EXPECT_STREQ(fwd[1], "--benchmark_filter=NONE");
+  EXPECT_STREQ(fwd[2], "--benchmark_min_time=0");
+  EXPECT_EQ(fwd[3], nullptr);
+
+  Args plain("prog");
+  plain.metrics();
+  Argv rejected{"--benchmark_filter=NONE"};
+  EXPECT_EQ(rejected.parse(plain), 2);
+}
+
+TEST(ObsArgs, UsageListsEveryDeclaredKey) {
+  int samples = 0;
+  std::uint64_t seed = 0;
+  double rate = 0.0;
+  double gate = 1.0;
+  bool async = false;
+  bool steady = false;
+  Args args("bench_x");
+  args.positional("samples", samples, at_least(0))
+      .positional("seed", seed)
+      .option("amp_dead", rate, in(0.0, 1.0))
+      .option("latency_gate", gate, above(0.0))
+      .option("async", async)
+      .flag("--steady-clock", steady, "wall-clock spans")
+      .metrics()
+      .benchmark_flags();
+  const std::string usage = args.usage();
+  EXPECT_EQ(usage.rfind(
+                "usage: bench_x [samples] [seed] [key=value...] "
+                "[--steady-clock] [--metrics[=path]] [--benchmark_...]\n",
+                0),
+            0u)
+      << usage;
+  for (const char* line :
+       {"  samples               integer >= 0\n",
+        "  seed                  unsigned integer\n",
+        "  amp_dead=             number in [0, 1]\n",
+        "  latency_gate=         number > 0\n",
+        "  async=                0 or 1\n",
+        "  --steady-clock        wall-clock spans\n"}) {
+    EXPECT_NE(usage.find(line), std::string::npos) << line << usage;
+  }
+  // Errors print the same usage after the offending token.
+  Argv argv{"amp_dead=2"};
+  EXPECT_EQ(argv.parse(args), 2);
+  EXPECT_EQ(argv.err, "bench_x: malformed amp_dead 'amp_dead=2'\n" + usage);
 }
 
 // ---- degraded-time accounting regression ----
