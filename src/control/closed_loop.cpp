@@ -26,28 +26,9 @@ void run_closed_loop(IrisController& controller, Policy& policy,
   }
   auto& reg = obs::registry();
 
-  // Registry values at loop start: the result fields are views over the
-  // registry (deltas over this run), so every increment below is mirrored
-  // into a loop.* series at the same point it lands in `result`. The local
-  // accumulation stays the source of truth for IRIS_OBS=OFF builds. On a
-  // resumed cursor the baselines were captured at the first entry -- the
-  // deltas must span the whole run, crashes included.
-  const bool obs_on = obs::compiled_in() && reg.enabled();
-  if (!cursor.started) {
-    cursor.base.samples = reg.counter("loop.samples");
-    cursor.base.reconfigs = reg.counter("loop.reconfigurations");
-    cursor.base.rejected = reg.counter("loop.rejected");
-    cursor.base.escape = reg.counter("loop.escape_hatch_replans");
-    cursor.base.oss = reg.counter("loop.oss_operations");
-    cursor.base.rolled = reg.counter("loop.rolled_back");
-    cursor.base.degraded = reg.counter("loop.degraded_applies");
-    cursor.base.cmd_retries = reg.counter("loop.command_retries");
-    cursor.base.timeouts = reg.counter("loop.commands_timed_out");
-    cursor.base.circ_retries = reg.counter("loop.circuit_retries");
-    cursor.base.quarantined = reg.counter("loop.resources_quarantined");
-    cursor.started = true;
-  }
-
+  // The result's own tallies are the source of truth in every build; each
+  // increment below is mirrored into a loop.* series at the same point, so
+  // the registry sees the same counts.
   ClosedLoopResult& result = cursor.result;
   const auto open_degraded = [&](double t) {
     if (cursor.degraded_since < 0.0) cursor.degraded_since = t;
@@ -178,36 +159,6 @@ void run_closed_loop(IrisController& controller, Policy& policy,
                 static_cast<double>(result.proposals_suppressed));
   reg.set_gauge("loop.last_apply_s", result.last_apply_s);
 
-  if (obs_on) {
-    // The registry mirrored every increment above, so these deltas are the
-    // locally accumulated values by construction -- the overwrite proves the
-    // "views over the registry" contract rather than changing any number.
-    result.samples =
-        static_cast<int>(reg.counter("loop.samples") - cursor.base.samples);
-    result.reconfigurations = static_cast<int>(
-        reg.counter("loop.reconfigurations") - cursor.base.reconfigs);
-    result.rejected =
-        static_cast<int>(reg.counter("loop.rejected") - cursor.base.rejected);
-    result.escape_hatch_replans = static_cast<int>(
-        reg.counter("loop.escape_hatch_replans") - cursor.base.escape);
-    result.oss_operations = reg.counter("loop.oss_operations") - cursor.base.oss;
-    result.rolled_back =
-        static_cast<int>(reg.counter("loop.rolled_back") - cursor.base.rolled);
-    result.degraded_applies = static_cast<int>(
-        reg.counter("loop.degraded_applies") - cursor.base.degraded);
-    result.command_retries =
-        reg.counter("loop.command_retries") - cursor.base.cmd_retries;
-    result.commands_timed_out =
-        reg.counter("loop.commands_timed_out") - cursor.base.timeouts;
-    result.circuit_retries =
-        reg.counter("loop.circuit_retries") - cursor.base.circ_retries;
-    result.resources_quarantined =
-        reg.counter("loop.resources_quarantined") - cursor.base.quarantined;
-    // The double-valued fields (total_capacity_gap_ms, time_degraded_s) keep
-    // their local sums: a registry delta of doubles is only bit-exact from a
-    // freshly reset registry, and the mirrored add_gauge stream already
-    // carries the identical values.
-  }
   cursor.finished = true;
 }
 

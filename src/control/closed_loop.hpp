@@ -100,17 +100,7 @@ struct LoopCursor {
   ClosedLoopResult result;
   double next_t = 0.0;          ///< the sample to (re-)run on next entry
   double degraded_since = -1.0; ///< open degraded window start, -1 = closed
-  bool started = false;
   bool finished = false;        ///< tail accounting ran; cursor is spent
-
-  /// Registry values captured at FIRST entry. The obs "views over the
-  /// registry" overwrite at loop end must delta against the whole run, not
-  /// the last resume segment, so the baselines live here.
-  struct Baselines {
-    long long samples = 0, reconfigs = 0, rejected = 0, escape = 0, oss = 0;
-    long long rolled = 0, degraded = 0, cmd_retries = 0, timeouts = 0;
-    long long circ_retries = 0, quarantined = 0;
-  } base;
 };
 
 /// Runs the loop. Proposals that the controller rejects (hose violation,

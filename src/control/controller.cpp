@@ -16,58 +16,6 @@ using graph::NodeId;
 
 namespace {
 
-// Free-resource pools hold their entries sorted descending, smallest index
-// at the back: take_from_pool pops the `count` smallest in O(count) and
-// return_to_pool re-merges in O(n + k log k), instead of the former
-// sort-per-allocation (O(n log n) on every hop of every establish()).
-
-/// Pops the `count` smallest entries (ascending) from a descending-sorted
-/// free list; throws if short.
-std::vector<int> take_from_pool(std::vector<int>& pool, int count,
-                                const char* what) {
-  if (static_cast<int>(pool.size()) < count) {
-    throw std::runtime_error(std::string("IrisController: ") + what +
-                             " pool exhausted");
-  }
-  std::vector<int> taken(pool.rbegin(), pool.rbegin() + count);
-  pool.erase(pool.end() - count, pool.end());
-  return taken;
-}
-
-void return_to_pool(std::vector<int>& pool, const std::vector<int>& items) {
-  if (items.empty()) return;
-  std::vector<int> released(items.rbegin(), items.rend());
-  std::sort(released.begin(), released.end(), std::greater<>());
-  pool.insert(pool.end(), released.begin(), released.end());
-  std::inplace_merge(pool.begin(), pool.end() - released.size(), pool.end(),
-                     std::greater<>());
-}
-
-/// Fills a pool with {0..count-1}, respecting the descending invariant.
-void init_pool(std::vector<int>& pool, int count) {
-  pool.resize(static_cast<std::size_t>(std::max(0, count)));
-  for (int k = 0; k < count; ++k) pool[k] = count - 1 - k;
-}
-
-/// Exact-partition check: free + quarantined + allocated must tile
-/// {0..total-1} with no duplicates and no strays.
-bool tiles_exactly(int total, const std::vector<int>& free_items,
-                   const std::vector<int>& quarantined,
-                   const std::vector<int>& allocated) {
-  std::vector<char> seen(static_cast<std::size_t>(std::max(0, total)), 0);
-  const auto mark = [&](const std::vector<int>& items) {
-    for (int idx : items) {
-      if (idx < 0 || idx >= total || seen[static_cast<std::size_t>(idx)]) {
-        return false;
-      }
-      seen[static_cast<std::size_t>(idx)] = 1;
-    }
-    return true;
-  };
-  if (!mark(free_items) || !mark(quarantined) || !mark(allocated)) return false;
-  return std::all_of(seen.begin(), seen.end(), [](char c) { return c != 0; });
-}
-
 /// Folds one finished (or refused) reconfiguration's accounting into the
 /// default registry. Called at the transaction exits rather than per site so
 /// the registry and the report can never drift apart.
@@ -134,20 +82,17 @@ IrisController::IrisController(const fibermap::FiberMap& map,
 
 void IrisController::init_books() {
   const graph::Graph& g = map_.graph();
-  fibers_provisioned_ = leased_fibers_per_duct(map_, network_, amp_cut_);
   duct_failed_.assign(g.edge_count(), false);
-  free_fibers_.resize(g.edge_count());
-  quarantined_fibers_.resize(g.edge_count());
+  const auto leased = leased_fibers_per_duct(map_, network_, amp_cut_);
   for (EdgeId e = 0; e < g.edge_count(); ++e) {
-    init_pool(free_fibers_[e], fibers_provisioned_[e]);
+    ledger_[{ResKind::kFiber, e}] = Pool::all_free(leased[e]);
   }
-  free_amps_.resize(g.node_count());
-  quarantined_amps_.resize(g.node_count());
   for (NodeId n = 0; n < g.node_count(); ++n) {
-    init_pool(free_amps_[n], amp_cut_.amps_at_node[n]);
+    ledger_[{ResKind::kAmp, n}] = Pool::all_free(amp_cut_.amps_at_node[n]);
   }
   for (NodeId dc : map_.dcs()) {
-    init_pool(free_add_drop_[dc], devices_->port_map(dc).add_drop_pairs());
+    ledger_[{ResKind::kAddDrop, dc}] =
+        Pool::all_free(devices_->port_map(dc).add_drop_pairs());
   }
 }
 
@@ -247,20 +192,19 @@ CommandResult IrisController::run_with_retry(
   }
 }
 
-IrisController::ResKey IrisController::res_for_port(NodeId site,
-                                                    int port) const {
+ResKey IrisController::res_for_port(NodeId site, int port) const {
   const auto o = devices_->port_map(site).owner(port);
   using Kind = SitePortMap::PortOwner::Kind;
   switch (o.kind) {
     case Kind::kDuctIn:
     case Kind::kDuctOut:
-      return ResKey{0, o.duct, o.index};
+      return ResKey{ResKind::kFiber, o.duct, o.index};
     case Kind::kAdd:
     case Kind::kDrop:
-      return ResKey{1, site, o.index};
+      return ResKey{ResKind::kAddDrop, site, o.index};
     case Kind::kAmpFeed:
     case Kind::kAmpReturn:
-      return ResKey{2, site, o.index};
+      return ResKey{ResKind::kAmp, site, o.index};
   }
   throw std::logic_error("res_for_port: unmapped port owner");
 }
@@ -268,29 +212,25 @@ IrisController::ResKey IrisController::res_for_port(NodeId site,
 std::optional<std::vector<int>> IrisController::take_healthy_amp_units(
     NodeId site, int count, ReconfigReport& report) {
   FaultInjector& faults = devices_->fault_injector();
-  auto& pool = free_amps_[static_cast<std::size_t>(site)];
+  Pool& pool = ledger_.at({ResKind::kAmp, site});
   std::vector<int> taken;
-  taken.reserve(static_cast<std::size_t>(count));
-  while (static_cast<int>(taken.size()) < count && !pool.empty()) {
-    const int unit = pool.back();  // smallest free index
-    pool.pop_back();
+  while (std::ssize(taken) < count && !pool.free.empty()) {
+    const int unit = pool.take(1, "amplifier").front();
     const CommandResult check = faults.amp_power_check(site, unit);
     if (faults.enabled()) {
       record_cmd(AmpPowerCheckCmd{site, unit, check.ok()});
     }
     if (check.ok()) {
       taken.push_back(unit);
-    } else {
-      quarantined_amps_[static_cast<std::size_t>(site)].push_back(unit);
-      jrec(QuarantineRecord{2, site, unit});
-      ++report.resources_quarantined;
+      continue;
     }
+    pool.quarantined.push_back(unit);
+    jrec(QuarantineRecord{static_cast<int>(ResKind::kAmp), site, unit});
+    ++report.resources_quarantined;
   }
-  if (static_cast<int>(taken.size()) < count) {
-    return_to_pool(pool, taken);
-    return std::nullopt;
-  }
-  return taken;
+  if (std::ssize(taken) == count) return taken;
+  pool.release(taken);
+  return std::nullopt;
 }
 
 std::vector<IrisController::Connect> IrisController::planned_connects(
@@ -363,7 +303,7 @@ void IrisController::establish(const Circuit& c, Allocation& alloc,
   alloc.fibers_per_hop.reserve(c.route.edges.size());
   for (EdgeId e : c.route.edges) {
     alloc.fibers_per_hop.push_back(
-        take_from_pool(free_fibers_[e], c.fiber_pairs, "duct fiber"));
+        ledger_.at({ResKind::kFiber, e}).take(c.fiber_pairs, "duct fiber"));
   }
 
   // Does this route need an in-line amplifier? Pick the first feasible site
@@ -373,7 +313,7 @@ void IrisController::establish(const Circuit& c, Allocation& alloc,
   if (!core::path_feasible(g, c.route, std::nullopt, bypassed, spec)) {
     for (int m : core::feasible_amp_indices(g, c.route, bypassed, spec)) {
       const NodeId site = c.route.nodes[m];
-      if (static_cast<int>(free_amps_[site].size()) >= c.fiber_pairs) {
+      if (std::ssize(ledger_.at({ResKind::kAmp, site}).free) >= c.fiber_pairs) {
         if (auto units = take_healthy_amp_units(site, c.fiber_pairs, report)) {
           alloc.amp_site = site;
           alloc.amp_units = std::move(*units);
@@ -388,10 +328,10 @@ void IrisController::establish(const Circuit& c, Allocation& alloc,
   }
 
   // Add/drop pairs at both terminals.
-  alloc.add_drop_a = take_from_pool(free_add_drop_.at(c.pair.a), c.fiber_pairs,
-                                    "add/drop");
-  alloc.add_drop_b = take_from_pool(free_add_drop_.at(c.pair.b), c.fiber_pairs,
-                                    "add/drop");
+  alloc.add_drop_a =
+      ledger_.at({ResKind::kAddDrop, c.pair.a}).take(c.fiber_pairs, "add/drop");
+  alloc.add_drop_b =
+      ledger_.at({ResKind::kAddDrop, c.pair.b}).take(c.fiber_pairs, "add/drop");
 
   // Intent goes durable here: the draws above are pure bookkeeping a
   // successor re-derives from the journal, the cross-connects below are not.
@@ -437,36 +377,23 @@ void IrisController::unwind_allocation(const Circuit& c, Allocation& alloc,
     }
   }
 
-  const auto partition = [&](std::vector<int>& pool,
-                             std::vector<int>& quarantine,
-                             const std::vector<int>& items, int kind, int a) {
-    std::vector<int> to_free;
-    to_free.reserve(items.size());
-    for (int idx : items) {
-      if (culprits.contains(ResKey{kind, a, idx})) {
-        quarantine.push_back(idx);
-        jrec(QuarantineRecord{kind, a, idx});
-        ++report.resources_quarantined;
-      } else {
-        to_free.push_back(idx);
-      }
+  const auto release = [&](ResKind kind, int owner,
+                           const std::vector<int>& items) {
+    std::vector<int> blamed;
+    for (const auto& [k, o, idx] : culprits) {
+      if (k == kind && o == owner) blamed.push_back(idx);
     }
-    return_to_pool(pool, to_free);
+    for (int idx : ledger_.at({kind, owner}).release(items, blamed)) {
+      jrec(QuarantineRecord{static_cast<int>(kind), owner, idx});
+      ++report.resources_quarantined;
+    }
   };
-
   for (std::size_t h = 0; h < alloc.fibers_per_hop.size(); ++h) {
-    const EdgeId e = c.route.edges[h];
-    partition(free_fibers_[e], quarantined_fibers_[e], alloc.fibers_per_hop[h],
-              0, e);
+    release(ResKind::kFiber, c.route.edges[h], alloc.fibers_per_hop[h]);
   }
-  if (alloc.amp_site) {
-    partition(free_amps_[*alloc.amp_site], quarantined_amps_[*alloc.amp_site],
-              alloc.amp_units, 2, *alloc.amp_site);
-  }
-  partition(free_add_drop_.at(c.pair.a), quarantined_add_drop_[c.pair.a],
-            alloc.add_drop_a, 1, c.pair.a);
-  partition(free_add_drop_.at(c.pair.b), quarantined_add_drop_[c.pair.b],
-            alloc.add_drop_b, 1, c.pair.b);
+  if (alloc.amp_site) release(ResKind::kAmp, *alloc.amp_site, alloc.amp_units);
+  release(ResKind::kAddDrop, c.pair.a, alloc.add_drop_a);
+  release(ResKind::kAddDrop, c.pair.b, alloc.add_drop_b);
   alloc = Allocation{};
   jrec(TeardownDoneRecord{c});
 }
@@ -537,7 +464,8 @@ void IrisController::retune_all_dcs(ReconfigReport& report) {
           // Permanent tune failure: pull the transceiver from service and
           // carry the wavelength on the next one.
           quarantined_txs_[dc].insert(idx);
-          jrec(QuarantineRecord{3, dc, idx});
+          jrec(QuarantineRecord{static_cast<int>(ResKind::kTransceiver), dc,
+                                idx});
           ++report.resources_quarantined;
         }
         if (!tuned) ++report.wavelengths_untuned;
@@ -996,7 +924,7 @@ ReconfigReport IrisController::apply_traffic_matrix(const TrafficMatrix& tm,
   bool make_first =
       strategy == ReconfigStrategy::kMakeBeforeBreak && !report.set_up.empty();
   for (EdgeId e = 0; e < edges; ++e) {
-    const auto spare = static_cast<long long>(free_fibers_[e].size());
+    const auto spare = std::ssize(ledger_.at({ResKind::kFiber, e}).free);
     if (demand[e] > spare + freed[e]) {
       throw std::runtime_error("apply_traffic_matrix: duct " +
                                std::to_string(e) + " fiber lease exhausted");
@@ -1120,71 +1048,27 @@ AuditReport IrisController::audit_report() const {
              ") out of step");
   }
 
-  // 3. Exact resource partition: free + quarantined + allocated tiles the
-  // provisioned inventory of every duct, amplifier site and DC -- no fiber
-  // double-allocated, none lost.
-  std::vector<std::vector<int>> fiber_alloc(
-      static_cast<std::size_t>(g.edge_count()));
-  std::vector<std::vector<int>> amp_alloc(
-      static_cast<std::size_t>(g.node_count()));
-  std::map<NodeId, std::vector<int>> add_drop_alloc;
-  const std::size_t n_books = std::min(active_.size(), allocations_.size());
-  for (std::size_t i = 0; i < n_books; ++i) {
-    const Circuit& c = active_[i];
-    const Allocation& alloc = allocations_[i];
-    if (alloc.fibers_per_hop.size() != c.route.edges.size()) {
+  // 3. Every pool is at rest: each fiber, amplifier unit and add/drop pair
+  // is exactly one of free, quarantined or held by a booked circuit.
+  Census census(ledger_);
+  for_each_held(nullptr, [&](const Circuit& c, const Allocation& a) {
+    if (!census.hold(c, a)) {
       rep.bookkeeping_ok = false;
       note(Kind::kBookkeeping, graph::kInvalidNode, -1, graph::kInvalidEdge,
            "allocation hop count does not match the circuit route");
     }
-    const std::size_t hops =
-        std::min(alloc.fibers_per_hop.size(), c.route.edges.size());
-    for (std::size_t h = 0; h < hops; ++h) {
-      const EdgeId e = c.route.edges[h];
-      fiber_alloc[e].insert(fiber_alloc[e].end(),
-                            alloc.fibers_per_hop[h].begin(),
-                            alloc.fibers_per_hop[h].end());
-    }
-    if (alloc.amp_site) {
-      amp_alloc[*alloc.amp_site].insert(amp_alloc[*alloc.amp_site].end(),
-                                        alloc.amp_units.begin(),
-                                        alloc.amp_units.end());
-    }
-    auto& at_a = add_drop_alloc[c.pair.a];
-    at_a.insert(at_a.end(), alloc.add_drop_a.begin(), alloc.add_drop_a.end());
-    auto& at_b = add_drop_alloc[c.pair.b];
-    at_b.insert(at_b.end(), alloc.add_drop_b.begin(), alloc.add_drop_b.end());
-  }
-  for (EdgeId e = 0; e < g.edge_count(); ++e) {
-    if (!tiles_exactly(fibers_provisioned_[e], free_fibers_[e],
-                       quarantined_fibers_[e], fiber_alloc[e])) {
+  });
+  for (const auto& [id, fault] : census.faults(PartitionRule::kAtRest)) {
+    const auto [kind, owner] = id;
+    if (kind == ResKind::kFiber) {
       ++rep.fiber_pool_mismatches;
-      note(Kind::kFiberPool, graph::kInvalidNode, -1, e,
-           "duct " + std::to_string(e) +
-               ": fiber partition does not tile the provisioned inventory");
-    }
-  }
-  for (NodeId n = 0; n < g.node_count(); ++n) {
-    if (!tiles_exactly(amp_cut_.amps_at_node[n], free_amps_[n],
-                       quarantined_amps_[n], amp_alloc[n])) {
-      ++rep.amp_pool_mismatches;
-      note(Kind::kAmpPool, n, -1, graph::kInvalidEdge,
-           map_.site(n).name + ": amplifier partition broken");
-    }
-  }
-  for (const auto& [dc, pool] : free_add_drop_) {
-    const auto quarantined_it = quarantined_add_drop_.find(dc);
-    static const std::vector<int> kNone;
-    const auto alloc_it = add_drop_alloc.find(dc);
-    if (!tiles_exactly(devices_->port_map(dc).add_drop_pairs(), pool,
-                       quarantined_it == quarantined_add_drop_.end()
-                           ? kNone
-                           : quarantined_it->second,
-                       alloc_it == add_drop_alloc.end() ? kNone
-                                                        : alloc_it->second)) {
-      ++rep.add_drop_pool_mismatches;
-      note(Kind::kAddDropPool, dc, -1, graph::kInvalidEdge,
-           map_.site(dc).name + ": add/drop partition broken");
+      note(Kind::kFiberPool, graph::kInvalidNode, -1, owner,
+           "duct " + std::to_string(owner) + ": " + fault);
+    } else {
+      const bool amp = kind == ResKind::kAmp;
+      ++(amp ? rep.amp_pool_mismatches : rep.add_drop_pool_mismatches);
+      note(amp ? Kind::kAmpPool : Kind::kAddDropPool, owner, -1,
+           graph::kInvalidEdge, map_.site(owner).name + ": " + fault);
     }
   }
 
@@ -1208,12 +1092,18 @@ ControllerCheckpoint IrisController::snapshot() const {
   cp.applies_completed = applies_completed_;
   cp.active = active_;
   cp.allocations.assign(allocations_.begin(), allocations_.end());
-  cp.free_fibers = free_fibers_;
-  cp.quarantined_fibers = quarantined_fibers_;
-  cp.free_amps = free_amps_;
-  cp.quarantined_amps = quarantined_amps_;
-  cp.free_add_drop = free_add_drop_;
-  cp.quarantined_add_drop = quarantined_add_drop_;
+  for (const auto& [id, p] : ledger_) {
+    const auto [kind, owner] = id;
+    if (kind == ResKind::kAddDrop) {
+      cp.free_add_drop[owner] = p.free;
+      cp.quarantined_add_drop[owner] = p.quarantined;
+      continue;
+    }
+    const bool fiber = kind == ResKind::kFiber;
+    (fiber ? cp.free_fibers : cp.free_amps).push_back(p.free);
+    (fiber ? cp.quarantined_fibers : cp.quarantined_amps)
+        .push_back(p.quarantined);
+  }
   cp.quarantined_txs = quarantined_txs_;
   cp.zombies = zombie_connects_;
   cp.expected_tuned = expected_tuned_;
@@ -1271,19 +1161,20 @@ IrisController::Status IrisController::status() const {
   Status s;
   s.active_circuits = static_cast<int>(active_.size());
   for (const Circuit& c : active_) s.live_wavelengths += 2 * c.wavelengths;
-  for (EdgeId e = 0; e < map_.graph().edge_count(); ++e) {
-    s.fibers_allocated += allocated_fibers(e);
-    s.fibers_provisioned += fibers_provisioned_[e];
-    s.failed_ducts += duct_failed_[e];
-    s.quarantined_fibers += static_cast<int>(quarantined_fibers_[e].size());
-  }
-  for (NodeId n = 0; n < map_.graph().node_count(); ++n) {
-    s.amplifiers_in_use += amplifiers_in_use(n);
-    s.amplifiers_total += amp_cut_.amps_at_node[n];
-    s.quarantined_amplifiers += static_cast<int>(quarantined_amps_[n].size());
-  }
-  for (const auto& [dc, q] : quarantined_add_drop_) {
-    s.quarantined_add_drops += static_cast<int>(q.size());
+  for (const bool failed : duct_failed_) s.failed_ducts += failed;
+  for (const auto& [id, p] : ledger_) {
+    const auto q = static_cast<int>(p.quarantined.size());
+    if (id.first == ResKind::kFiber) {
+      s.fibers_allocated += p.in_use();
+      s.fibers_provisioned += p.total;
+      s.quarantined_fibers += q;
+    } else if (id.first == ResKind::kAmp) {
+      s.amplifiers_in_use += p.in_use();
+      s.amplifiers_total += p.total;
+      s.quarantined_amplifiers += q;
+    } else {
+      s.quarantined_add_drops += q;
+    }
   }
   for (const auto& [dc, q] : quarantined_txs_) {
     s.quarantined_transceivers += static_cast<int>(q.size());
@@ -1347,19 +1238,15 @@ const SitePortMap& IrisController::port_map_at(NodeId site) const {
 }
 
 long long IrisController::allocated_fibers(EdgeId duct) const {
-  return fibers_provisioned_.at(duct) -
-         static_cast<long long>(free_fibers_.at(duct).size()) -
-         static_cast<long long>(quarantined_fibers_.at(duct).size());
+  return ledger_.at({ResKind::kFiber, duct}).in_use();
 }
 
 int IrisController::provisioned_fibers(EdgeId duct) const {
-  return fibers_provisioned_.at(duct);
+  return ledger_.at({ResKind::kFiber, duct}).total;
 }
 
 int IrisController::amplifiers_in_use(NodeId site) const {
-  return amp_cut_.amps_at_node.at(site) -
-         static_cast<int>(free_amps_.at(site).size()) -
-         static_cast<int>(quarantined_amps_.at(site).size());
+  return ledger_.at({ResKind::kAmp, site}).in_use();
 }
 
 // ---- cold-restart reconciliation -------------------------------------------
@@ -1367,15 +1254,23 @@ int IrisController::amplifiers_in_use(NodeId site) const {
 void IrisController::install_stable(const ControllerCheckpoint& cp) {
   validate_checkpoint(cp);
   const graph::Graph& g = map_.graph();
-  // An empty journal replays to an all-empty checkpoint; anything else must
-  // have been written against this network's shape.
-  if (!cp.free_fibers.empty() &&
-      cp.free_fibers.size() != static_cast<std::size_t>(g.edge_count())) {
+  const auto mismatch = [] {
     throw std::runtime_error("recover: journal does not match this network");
-  }
-  if (!cp.free_amps.empty() &&
-      cp.free_amps.size() != static_cast<std::size_t>(g.node_count())) {
-    throw std::runtime_error("recover: journal does not match this network");
+  };
+  // A checkpoint lists every duct and site (an empty journal none); a
+  // quarantine record past them grows the replayed lists out of shape.
+  const auto restore = [&](ResKind kind, const auto& lists, int count) {
+    if (!lists.empty() && std::ssize(lists) != count) mismatch();
+    for (int i = 0; i < std::ssize(lists); ++i) {
+      ledger_.at({kind, i}).quarantined = lists[i];
+    }
+  };
+  restore(ResKind::kFiber, cp.quarantined_fibers, g.edge_count());
+  restore(ResKind::kAmp, cp.quarantined_amps, g.node_count());
+  for (const auto& [dc, list] : cp.quarantined_add_drop) {
+    const auto it = ledger_.find({ResKind::kAddDrop, dc});
+    if (it == ledger_.end()) mismatch();
+    it->second.quarantined = list;
   }
 
   applies_completed_ = cp.applies_completed;
@@ -1385,29 +1280,21 @@ void IrisController::install_stable(const ControllerCheckpoint& cp) {
   for (std::size_t i = 0; i < cp.active.size(); ++i) {
     allocations_.push_back(from_record(cp.active[i], cp.allocations[i]));
   }
-  quarantined_fibers_ = cp.quarantined_fibers;
-  quarantined_fibers_.resize(static_cast<std::size_t>(g.edge_count()));
-  quarantined_amps_ = cp.quarantined_amps;
-  quarantined_amps_.resize(static_cast<std::size_t>(g.node_count()));
-  quarantined_add_drop_ = cp.quarantined_add_drop;
   quarantined_txs_ = cp.quarantined_txs;
   zombie_connects_ = cp.zombies;
   expected_tuned_ = cp.expected_tuned;
   duct_failed_.assign(g.edge_count(), false);
   for (EdgeId e : cp.failed_ducts) {
-    if (e < 0 || e >= g.edge_count()) {
-      throw std::runtime_error("recover: journal does not match this network");
-    }
+    if (e < 0 || e >= g.edge_count()) mismatch();
     duct_failed_[e] = true;
   }
-  // Free pools are re-derived by derive_free_pools: the replayed stable pools
-  // go stale as committed applies fold in, so they are never trusted here.
 }
 
 void IrisController::for_each_held(
     const Transaction* tx,
     const std::function<void(const Circuit&, const Allocation&)>& fn) const {
-  for (std::size_t i = 0; i < active_.size(); ++i) {
+  for (std::size_t i = 0; i < std::min(active_.size(), allocations_.size());
+       ++i) {
     fn(active_[i], allocations_[i]);
   }
   if (tx == nullptr) return;
@@ -1418,69 +1305,22 @@ void IrisController::for_each_held(
 }
 
 void IrisController::derive_free_pools(const Transaction* tx) {
-  const graph::Graph& g = map_.graph();
-  const auto unused = [](int count) {
-    return std::vector<char>(static_cast<std::size_t>(std::max(0, count)), 0);
-  };
-  std::vector<std::vector<char>> fiber_used;
-  for (int count : fibers_provisioned_) fiber_used.push_back(unused(count));
-  std::vector<std::vector<char>> amp_used;
-  for (int count : amp_cut_.amps_at_node) amp_used.push_back(unused(count));
-  std::map<NodeId, std::vector<char>> ad_used;
-  for (NodeId dc : map_.dcs()) {
-    ad_used[dc] = unused(devices_->port_map(dc).add_drop_pairs());
-  }
-
-  const auto use = [](std::vector<char>& used, const std::vector<int>& items,
-                      const char* what) {
-    for (int idx : items) {
-      if (idx < 0 || idx >= static_cast<int>(used.size()) ||
-          used[static_cast<std::size_t>(idx)]) {
-        throw std::runtime_error(
-            std::string("recover: corrupt journaled allocation: ") + what +
-            " index " + std::to_string(idx));
-      }
-      used[static_cast<std::size_t>(idx)] = 1;
-    }
+  for (auto& [id, p] : ledger_) p.free.clear();
+  Census census(ledger_);
+  const auto corrupt = [](const std::string& what) {
+    throw std::runtime_error("recover: corrupt journaled allocation: " + what);
   };
   for_each_held(tx, [&](const Circuit& c, const Allocation& a) {
-    if (a.fibers_per_hop.size() != c.route.edges.size()) {
-      throw std::runtime_error(
-          "recover: corrupt journaled allocation: hop count mismatch");
-    }
-    for (std::size_t h = 0; h < a.fibers_per_hop.size(); ++h) {
-      use(fiber_used[c.route.edges[h]], a.fibers_per_hop[h], "duct fiber");
-    }
-    if (a.amp_site) use(amp_used[*a.amp_site], a.amp_units, "amplifier");
-    use(ad_used.at(c.pair.a), a.add_drop_a, "add/drop");
-    use(ad_used.at(c.pair.b), a.add_drop_b, "add/drop");
+    if (!census.hold(c, a)) corrupt("allocation does not fit its route");
   });
-  for (EdgeId e = 0; e < g.edge_count(); ++e) {
-    use(fiber_used[e], quarantined_fibers_[e], "quarantined fiber");
+  if (const auto faults = census.faults(PartitionRule::kMidTransaction);
+      !faults.empty()) {
+    corrupt(faults.front().second);
   }
-  for (NodeId n = 0; n < g.node_count(); ++n) {
-    use(amp_used[n], quarantined_amps_[n], "quarantined amplifier");
-  }
-  for (const auto& [dc, items] : quarantined_add_drop_) {
-    use(ad_used.at(dc), items, "quarantined add/drop");
-  }
-
-  // Free = descending-sorted complement. take/return keep incrementally
+  // Free = the descending complement. take/release keep incrementally
   // maintained pools in exactly this canonical form, so the derived pools
   // are byte-equal to what a crash-free controller would hold.
-  const auto complement = [](const std::vector<char>& used) {
-    std::vector<int> pool;
-    for (int idx = static_cast<int>(used.size()) - 1; idx >= 0; --idx) {
-      if (!used[static_cast<std::size_t>(idx)]) pool.push_back(idx);
-    }
-    return pool;
-  };
-  free_fibers_.clear();
-  for (const auto& used : fiber_used) free_fibers_.push_back(complement(used));
-  free_amps_.clear();
-  for (const auto& used : amp_used) free_amps_.push_back(complement(used));
-  free_add_drop_.clear();
-  for (const auto& [dc, used] : ad_used) free_add_drop_[dc] = complement(used);
+  for (auto& [id, p] : ledger_) p.free = census.unused(id);
 }
 
 void IrisController::repair_connects(Allocation& alloc, ReconfigReport& report,
@@ -1516,32 +1356,6 @@ void IrisController::repair_connects(Allocation& alloc, ReconfigReport& report,
     record_cmd(OssConnectCmd{k.site, k.in_port, k.out_port});
     ++report.oss_operations;
     ++rr.connects_programmed;
-  }
-}
-
-void IrisController::quarantine_port_resource(NodeId site, int port) {
-  const auto [kind, a, b] = res_for_port(site, port);
-  const auto pull = [&](std::vector<int>& pool, std::vector<int>& quarantine) {
-    const auto it = std::find(pool.begin(), pool.end(), b);
-    if (it == pool.end()) return;  // allocated or already quarantined
-    pool.erase(it);
-    quarantine.push_back(b);
-    jrec(QuarantineRecord{kind, a, b});
-  };
-  switch (kind) {
-    case 0:
-      pull(free_fibers_[static_cast<std::size_t>(a)],
-           quarantined_fibers_[static_cast<std::size_t>(a)]);
-      break;
-    case 1:
-      pull(free_add_drop_.at(a), quarantined_add_drop_[a]);
-      break;
-    case 2:
-      pull(free_amps_[static_cast<std::size_t>(a)],
-           quarantined_amps_[static_cast<std::size_t>(a)]);
-      break;
-    default:
-      break;
   }
 }
 
@@ -1583,7 +1397,8 @@ RecoveryReport IrisController::recover(IntentJournal& journal) {
 
   // Orphan sweep BEFORE the roll-forward: every hardware cross-connect owned
   // by neither a book circuit, an in-flight allocation, nor a known zombie
-  // is adopted as a zombie and its ports quarantined. This matters when a
+  // is adopted as a zombie and the free resources its ports belong to are
+  // quarantined. This matters when a
   // torn journal tail dropped an establish record: the leftover
   // cross-connects would otherwise collide with the ports a fresh
   // establishment draws (the pools, derived from the journal alone, believe
@@ -1605,8 +1420,12 @@ RecoveryReport IrisController::recover(IntentJournal& journal) {
         zombie_connects_.push_back(Connect{n, in, out});
         obs::registry().add("controller.zombies.total");
         jrec(ZombieRecord{Connect{n, in, out}});
-        quarantine_port_resource(n, in);
-        quarantine_port_resource(n, out);
+        for (const int port : {in, out}) {
+          const auto [kind, owner, index] = res_for_port(n, port);
+          if (ledger_.at({kind, owner}).quarantine_if_free(index)) {
+            jrec(QuarantineRecord{static_cast<int>(kind), owner, index});
+          }
+        }
         ++rr.orphan_connects_adopted;
       }
     }

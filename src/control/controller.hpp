@@ -19,13 +19,13 @@
 #include <memory>
 #include <optional>
 #include <set>
-#include <tuple>
 
 #include "control/circuits.hpp"
 #include "control/commands.hpp"
 #include "control/devices.hpp"
 #include "control/faults.hpp"
 #include "control/journal.hpp"
+#include "control/ledger.hpp"
 #include "control/port_map.hpp"
 #include "core/amp_cut.hpp"
 
@@ -371,10 +371,6 @@ class IrisController {
     std::vector<Connect> connects;
   };
 
-  /// A concrete allocatable resource, for quarantine bookkeeping.
-  /// kind: 0 = duct fiber (a=edge, b=index), 1 = add/drop pair (a=dc,
-  /// b=index), 2 = amplifier unit (a=site, b=index).
-  using ResKey = std::tuple<int, int, int>;
   /// Thrown inside establish() when a device command fails after all
   /// retries; carries the ports needed to attribute blame. Internal control
   /// flow only -- never escapes apply_traffic_matrix.
@@ -446,18 +442,16 @@ class IrisController {
   void for_each_held(
       const Transaction* tx,
       const std::function<void(const Circuit&, const Allocation&)>& fn) const;
-  /// Rebuilds every free pool as the descending-sorted complement of the
-  /// held allocations (for_each_held) + quarantined over the provisioned
-  /// inventory. The complement is byte-equal to incrementally maintained
-  /// pools because take/return keep pools canonical.
+  /// Rebuilds every free pool as the descending complement of the held
+  /// allocations (for_each_held) and the quarantine over the provisioned
+  /// inventory, after checking them against the ledger's mid-transaction
+  /// rule. Throws std::runtime_error when they break it.
   void derive_free_pools(const Transaction* tx);
   /// Programs any of the allocation's planned connects missing from the
   /// OSS read-back, in plan order; fixes inputs patched to a wrong output.
   /// Throws DeviceCommandError if a connect cannot be made.
   void repair_connects(Allocation& alloc, ReconfigReport& report,
                        RecoveryReport& rr);
-  /// Quarantines the resource owning this port if it is currently free.
-  void quarantine_port_resource(graph::NodeId site, int port);
 
   const fibermap::FiberMap& map_;
   const core::ProvisionedNetwork& network_;
@@ -479,19 +473,13 @@ class IrisController {
 
   std::vector<Circuit> active_;
   std::vector<Allocation> allocations_;  ///< parallel to active_
-  std::vector<std::vector<int>> free_fibers_;    ///< per duct, free pair idxs
-  std::vector<std::vector<int>> free_amps_;      ///< per site, free amp units
-  std::map<graph::NodeId, std::vector<int>> free_add_drop_;  ///< per DC
-  std::vector<int> fibers_provisioned_;
+  /// Fiber, amplifier and add/drop pools: free and quarantined indices. At
+  /// rest they and the allocations tile the provisioned inventory.
+  Ledger ledger_;
   std::vector<bool> duct_failed_;
   std::vector<DeviceCommand> trace_;
 
-  // Resources pulled from service after repeated faults. Disjoint from both
-  // the free pools and live allocations; audit_devices() checks that the
-  // three partitions exactly tile the provisioned inventory.
-  std::vector<std::vector<int>> quarantined_fibers_;  ///< per duct
-  std::vector<std::vector<int>> quarantined_amps_;    ///< per site
-  std::map<graph::NodeId, std::vector<int>> quarantined_add_drop_;
+  /// Transceivers pulled from service after a permanent tune failure.
   std::map<graph::NodeId, std::set<int>> quarantined_txs_;
   /// Cross-connects a stuck mirror refused to release: still programmed on
   /// the OSS, owned by no circuit, their ports quarantined.

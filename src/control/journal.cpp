@@ -6,6 +6,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "control/ledger.hpp"
+
 namespace iris::control {
 
 namespace {
@@ -51,6 +53,19 @@ void put_alloc(std::ostream& os, const AllocationRecord& a) {
   os << '\n';
 }
 
+/// A `<header> <n>` section of n `pool <free> <quarantined>` lines.
+void put_pools(std::ostream& os, const char* header,
+               const std::vector<std::vector<int>>& free,
+               const std::vector<std::vector<int>>& quarantined) {
+  os << header << ' ' << free.size() << '\n';
+  for (std::size_t i = 0; i < free.size(); ++i) {
+    os << "pool";
+    put_list(os, free[i]);
+    put_list(os, i < quarantined.size() ? quarantined[i] : std::vector<int>{});
+    os << '\n';
+  }
+}
+
 void put_record(std::ostream& os, const CheckpointRecord& r) {
   const ControllerCheckpoint& s = r.state;
   os << "checkpoint " << s.applies_completed << ' ' << s.active.size() << '\n';
@@ -58,24 +73,10 @@ void put_record(std::ostream& os, const CheckpointRecord& r) {
     put_circuit(os, s.active[i]);
     put_alloc(os, s.allocations[i]);
   }
-  os << "fibers " << s.free_fibers.size() << '\n';
-  for (std::size_t d = 0; d < s.free_fibers.size(); ++d) {
-    os << "pool";
-    put_list(os, s.free_fibers[d]);
-    put_list(os, d < s.quarantined_fibers.size() ? s.quarantined_fibers[d]
-                                                 : std::vector<int>{});
-    os << '\n';
-  }
-  os << "amps " << s.free_amps.size() << '\n';
-  for (std::size_t n = 0; n < s.free_amps.size(); ++n) {
-    os << "pool";
-    put_list(os, s.free_amps[n]);
-    put_list(os, n < s.quarantined_amps.size() ? s.quarantined_amps[n]
-                                               : std::vector<int>{});
-    os << '\n';
-  }
-  // Union of keys so a lazily-created quarantine entry without a matching
-  // free entry (or vice versa) still round-trips.
+  put_pools(os, "fibers", s.free_fibers, s.quarantined_fibers);
+  put_pools(os, "amps", s.free_amps, s.quarantined_amps);
+  // Union of keys so a DC listed in only one map (a replayed checkpoint has
+  // no free lists) still round-trips.
   std::set<graph::NodeId> dcs;
   for (const auto& [dc, pool] : s.free_add_drop) dcs.insert(dc);
   for (const auto& [dc, pool] : s.quarantined_add_drop) dcs.insert(dc);
@@ -317,6 +318,23 @@ ZombieConnect parse_zombie_fields(Line& ln) {
   return z;
 }
 
+/// Parses a put_pools section.
+void read_pools(Body& body, const char* header,
+                std::vector<std::vector<int>>& free,
+                std::vector<std::vector<int>>& quarantined) {
+  Line h = body.next(header);
+  h.expect(header);
+  const int n = h.count("pool count");
+  h.end();
+  for (int i = 0; i < n; ++i) {
+    Line p = body.next("pool");
+    p.expect("pool");
+    free.push_back(read_list(p, "free list"));
+    quarantined.push_back(read_list(p, "quarantine list"));
+    p.end();
+  }
+}
+
 JournalEntry parse_checkpoint(Line& header, Body& body) {
   ControllerCheckpoint s;
   s.applies_completed = static_cast<std::uint64_t>(
@@ -329,32 +347,8 @@ JournalEntry parse_checkpoint(Line& header, Body& body) {
     Line al = body.next("alloc");
     s.allocations.push_back(parse_alloc(al));
   }
-  {
-    Line h = body.next("fibers header");
-    h.expect("fibers");
-    const int ducts = h.count("duct count");
-    h.end();
-    for (int d = 0; d < ducts; ++d) {
-      Line p = body.next("fiber pool");
-      p.expect("pool");
-      s.free_fibers.push_back(read_list(p, "free fibers"));
-      s.quarantined_fibers.push_back(read_list(p, "quarantined fibers"));
-      p.end();
-    }
-  }
-  {
-    Line h = body.next("amps header");
-    h.expect("amps");
-    const int sites = h.count("site count");
-    h.end();
-    for (int n = 0; n < sites; ++n) {
-      Line p = body.next("amp pool");
-      p.expect("pool");
-      s.free_amps.push_back(read_list(p, "free amps"));
-      s.quarantined_amps.push_back(read_list(p, "quarantined amps"));
-      p.end();
-    }
-  }
+  read_pools(body, "fibers", s.free_fibers, s.quarantined_fibers);
+  read_pools(body, "amps", s.free_amps, s.quarantined_amps);
   {
     Line h = body.next("add_drop header");
     h.expect("add_drop");
@@ -475,7 +469,9 @@ JournalEntry parse_record(Body& body) {
     r.a = static_cast<int>(ln.num("a"));
     r.b = static_cast<int>(ln.num("b"));
     ln.end();
-    if (r.kind < 0 || r.kind > 3) parse_fail(ln.line_no(), "bad quarantine kind");
+    if (r.kind < 0 || r.kind > static_cast<int>(ResKind::kTransceiver)) {
+      parse_fail(ln.line_no(), "bad quarantine kind");
+    }
     return r;
   }
   if (kw == "zombie") return ZombieRecord{parse_zombie_fields(ln)};
@@ -547,70 +543,48 @@ std::string IntentJournal::to_text() const {
 
 IntentJournal IntentJournal::load(std::istream& is) {
   std::vector<std::string> lines;
+  bool partial_line = false;
   for (std::string line; std::getline(is, line);) {
+    partial_line = is.eof();
     lines.push_back(std::move(line));
   }
   IntentJournal journal;
-
-  const auto all_blank_from = [&](std::size_t k) {
-    for (std::size_t t = k; t < lines.size(); ++t) {
-      if (!blank(lines[t])) return false;
-    }
-    return true;
-  };
-  const auto rethrow = [](const ParseError& e) -> void {
-    throw std::runtime_error("journal: line " + std::to_string(e.line_no) +
-                             ": " + e.what);
-  };
-
-  std::size_t i = 0;
-  while (i < lines.size() && blank(lines[i])) ++i;
-  if (i >= lines.size()) return journal;  // empty file: empty journal
+  // A crash mid-write leaves a torn tail: a final line without its '\n'
+  // (save() ends every line with one) -- dropped here even when it still
+  // parses, since a number cut short is still a number -- or a final record
+  // short of its framed lines. Every other defect is corruption.
+  if (partial_line) {
+    lines.pop_back();
+    journal.dropped_torn_tail_ = true;
+  }
   try {
+    std::size_t i = 0;
+    while (i < lines.size() && blank(lines[i])) ++i;
+    if (i >= lines.size()) return journal;  // empty file: empty journal
     Line header(lines[i], i + 1);
     header.expect("iris-journal");
     header.expect("v1");
     header.end();
-  } catch (const ParseError& e) {
-    if (all_blank_from(i + 1)) {  // half-written header: a torn, empty log
-      journal.dropped_torn_tail_ = true;
-      return journal;
-    }
-    rethrow(e);
-  }
-  ++i;
-
-  while (true) {
-    while (i < lines.size() && blank(lines[i])) ++i;
-    if (i >= lines.size()) break;
-    // The defective region a parse failure taints: just the header line
-    // until the framing count is known, the framed body once it is. The
-    // torn-tail test below must not see lines before the failure.
-    std::size_t record_end = i + 1;
-    try {
-      Line header(lines[i], i + 1);
-      header.expect("record");
-      const int n = header.count("record line count");
-      header.end();
-      record_end = i + 1 + static_cast<std::size_t>(n);
-      if (record_end > lines.size()) {
-        parse_fail(lines.size(), "record truncated at end of file");
+    ++i;
+    while (true) {
+      while (i < lines.size() && blank(lines[i])) ++i;
+      if (i >= lines.size()) break;
+      Line framing(lines[i], i + 1);
+      framing.expect("record");
+      const int n = framing.count("record line count");
+      framing.end();
+      if (i + 1 + static_cast<std::size_t>(n) > lines.size()) {
+        journal.dropped_torn_tail_ = true;
+        break;
       }
       Body body(lines, i + 1, static_cast<std::size_t>(n));
-      JournalEntry entry = parse_record(body);
+      journal.entries_.push_back(parse_record(body));
       body.done();
-      journal.entries_.push_back(std::move(entry));
-      i = record_end;
-    } catch (const ParseError& e) {
-      // A defective final record is a torn tail -- the crash interrupted the
-      // write -- and is dropped. Defects with intact records after them are
-      // corruption, not tearing.
-      if (all_blank_from(std::min(record_end, lines.size()))) {
-        journal.dropped_torn_tail_ = true;
-        return journal;
-      }
-      rethrow(e);
+      i += 1 + static_cast<std::size_t>(n);
     }
+  } catch (const ParseError& e) {
+    throw std::runtime_error("journal: line " + std::to_string(e.line_no) +
+                             ": " + e.what);
   }
   return journal;
 }
@@ -639,19 +613,14 @@ IntentJournal::Intent IntentJournal::replay() const {
     }
     replay_fail(std::string(what) + " without a matching begin");
   };
-  const auto quarantine_into = [](std::vector<int>& quarantined,
-                                  std::vector<int>& free_pool, int idx) {
-    if (std::find(quarantined.begin(), quarantined.end(), idx) !=
-        quarantined.end()) {
-      return;
-    }
-    quarantined.push_back(idx);
-    const auto it = std::find(free_pool.begin(), free_pool.end(), idx);
-    if (it != free_pool.end()) free_pool.erase(it);
-  };
-  const auto at_least = [](auto& vec, std::size_t n) -> decltype(auto) {
-    if (vec.size() <= n) vec.resize(n + 1);
-    return vec[n];
+  // The replayed stable state carries quarantine lists but no free pools:
+  // recover() derives those from the inventory and everything held.
+  const auto quarantine_list = [&](ResKind kind, int owner) -> auto& {
+    if (kind == ResKind::kAddDrop) return st.quarantined_add_drop[owner];
+    auto& lists = kind == ResKind::kFiber ? st.quarantined_fibers
+                                          : st.quarantined_amps;
+    if (std::ssize(lists) <= owner) lists.resize(owner + 1);
+    return lists[owner];
   };
 
   for (const JournalEntry& entry : entries_) {
@@ -659,7 +628,11 @@ IntentJournal::Intent IntentJournal::replay() const {
         overloaded{
             [&](const CheckpointRecord& r) {
               if (ifa) replay_fail("checkpoint inside an open apply");
+              validate_checkpoint(r.state);
               st = r.state;
+              st.free_fibers.clear();
+              st.free_amps.clear();
+              st.free_add_drop.clear();
             },
             [&](const BeginApplyRecord& r) {
               if (ifa) replay_fail("begin_apply while an apply is open");
@@ -680,27 +653,15 @@ IntentJournal::Intent IntentJournal::replay() const {
               mark_done(false, r.circuit, "establish_done");
             },
             [&](const QuarantineRecord& r) {
-              switch (r.kind) {
-                case 0:
-                  quarantine_into(
-                      at_least(st.quarantined_fibers,
-                               static_cast<std::size_t>(r.a)),
-                      at_least(st.free_fibers, static_cast<std::size_t>(r.a)),
-                      r.b);
-                  break;
-                case 1:
-                  quarantine_into(st.quarantined_add_drop[r.a],
-                                  st.free_add_drop[r.a], r.b);
-                  break;
-                case 2:
-                  quarantine_into(
-                      at_least(st.quarantined_amps,
-                               static_cast<std::size_t>(r.a)),
-                      at_least(st.free_amps, static_cast<std::size_t>(r.a)),
-                      r.b);
-                  break;
-                default:
-                  st.quarantined_txs[r.a].insert(r.b);
+              if (r.a < 0 || r.b < 0) replay_fail("bad quarantine record");
+              const auto kind = static_cast<ResKind>(r.kind);
+              if (kind == ResKind::kTransceiver) {
+                st.quarantined_txs[r.a].insert(r.b);
+                return;
+              }
+              auto& list = quarantine_list(kind, r.a);
+              if (std::find(list.begin(), list.end(), r.b) == list.end()) {
+                list.push_back(r.b);
               }
             },
             [&](const ZombieRecord& r) {
@@ -727,94 +688,22 @@ IntentJournal::Intent IntentJournal::replay() const {
               // unwound and retried on fresh resources), then the previous
               // stable books for survivors.
               std::vector<AllocationRecord> allocations;
-              allocations.reserve(r.active.size());
               for (const Circuit& c : r.active) {
-                const AllocationRecord* found = nullptr;
-                for (auto it = ifa->ops.rbegin(); it != ifa->ops.rend(); ++it) {
-                  if (!it->teardown && it->circuit == c) {
-                    found = &*it->alloc;
-                    break;
-                  }
-                }
-                if (found == nullptr) {
-                  for (std::size_t k = 0; k < st.active.size(); ++k) {
-                    if (st.active[k] == c) {
-                      found = &st.allocations[k];
-                      break;
-                    }
-                  }
-                }
-                if (found == nullptr) {
+                const auto op = std::find_if(
+                    ifa->ops.rbegin(), ifa->ops.rend(), [&](const auto& o) {
+                      return !o.teardown && o.circuit == c;
+                    });
+                const auto kept =
+                    std::find(st.active.begin(), st.active.end(), c);
+                if (op != ifa->ops.rend()) {
+                  allocations.push_back(*op->alloc);
+                } else if (kept != st.active.end()) {
+                  allocations.push_back(
+                      st.allocations[static_cast<std::size_t>(
+                          kept - st.active.begin())]);
+                } else {
                   replay_fail("apply_end circuit has no known allocation");
                 }
-                allocations.push_back(*found);
-              }
-              // The fold must also keep the free pools canonical: the
-              // finished apply returns every index the previous books held
-              // and claims every index the new books hold (a kept circuit's
-              // indices round-trip). Quarantined indices never re-enter a
-              // free pool, and pools stay sorted descending so a recovering
-              // successor draws exactly what the original would have.
-              const auto give = [](std::vector<int>& free_pool,
-                                   const std::vector<int>& quarantined,
-                                   int idx) {
-                if (std::find(quarantined.begin(), quarantined.end(), idx) !=
-                    quarantined.end()) {
-                  return;
-                }
-                if (std::find(free_pool.begin(), free_pool.end(), idx) !=
-                    free_pool.end()) {
-                  return;
-                }
-                free_pool.insert(
-                    std::lower_bound(free_pool.begin(), free_pool.end(), idx,
-                                     std::greater<int>()),
-                    idx);
-              };
-              const auto take = [](std::vector<int>& free_pool, int idx) {
-                const auto it =
-                    std::find(free_pool.begin(), free_pool.end(), idx);
-                if (it != free_pool.end()) free_pool.erase(it);
-              };
-              const auto pool_op = [&](const Circuit& c,
-                                       const AllocationRecord& a,
-                                       bool give_back) {
-                for (std::size_t h = 0;
-                     h < a.fibers_per_hop.size() && h < c.route.edges.size();
-                     ++h) {
-                  const auto e =
-                      static_cast<std::size_t>(c.route.edges[h]);
-                  auto& free_pool = at_least(st.free_fibers, e);
-                  auto& quar = at_least(st.quarantined_fibers, e);
-                  for (int idx : a.fibers_per_hop[h]) {
-                    give_back ? give(free_pool, quar, idx)
-                              : take(free_pool, idx);
-                  }
-                }
-                if (a.amp_site) {
-                  const auto s = static_cast<std::size_t>(*a.amp_site);
-                  auto& free_pool = at_least(st.free_amps, s);
-                  auto& quar = at_least(st.quarantined_amps, s);
-                  for (int u : a.amp_units) {
-                    give_back ? give(free_pool, quar, u) : take(free_pool, u);
-                  }
-                }
-                for (int p : a.add_drop_a) {
-                  give_back ? give(st.free_add_drop[c.pair.a],
-                                   st.quarantined_add_drop[c.pair.a], p)
-                            : take(st.free_add_drop[c.pair.a], p);
-                }
-                for (int p : a.add_drop_b) {
-                  give_back ? give(st.free_add_drop[c.pair.b],
-                                   st.quarantined_add_drop[c.pair.b], p)
-                            : take(st.free_add_drop[c.pair.b], p);
-                }
-              };
-              for (std::size_t k = 0; k < st.active.size(); ++k) {
-                pool_op(st.active[k], st.allocations[k], true);
-              }
-              for (std::size_t k = 0; k < r.active.size(); ++k) {
-                pool_op(r.active[k], allocations[k], false);
               }
               st.active = r.active;
               st.allocations = std::move(allocations);
@@ -835,17 +724,42 @@ void validate_checkpoint(const ControllerCheckpoint& cp) {
   if (cp.allocations.size() != cp.active.size()) {
     corrupt("active/allocation count mismatch");
   }
-  if (cp.free_fibers.size() != cp.quarantined_fibers.size()) {
+  // A written checkpoint lists a free pool beside every quarantine list; a
+  // replayed one carries no free pools at all. Either way the quarantine
+  // lists name every duct and site, and allocations must stay inside them.
+  if (!cp.free_fibers.empty() &&
+      cp.free_fibers.size() != cp.quarantined_fibers.size()) {
     corrupt("fiber pool vector sizes differ");
   }
-  if (cp.free_amps.size() != cp.quarantined_amps.size()) {
+  if (!cp.free_amps.empty() &&
+      cp.free_amps.size() != cp.quarantined_amps.size()) {
     corrupt("amplifier pool vector sizes differ");
   }
 
-  // Per-circuit shape checks, collecting allocated indices per resource.
-  std::map<int, std::vector<int>> fiber_alloc;     // duct -> indices
-  std::map<int, std::vector<int>> amp_alloc;       // site -> indices
-  std::map<int, std::vector<int>> add_drop_alloc;  // dc -> indices
+  // The checkpoint does not record pool sizes, so the census grows with the
+  // indices listed and the mid-transaction rule applies: no index twice in
+  // one part, none free while also quarantined or held.
+  Census census;
+  using Use = Census::Use;
+  const auto count_lists = [&](ResKind kind,
+                               const std::vector<std::vector<int>>& lists,
+                               Use use) {
+    for (std::size_t i = 0; i < lists.size(); ++i) {
+      census.count({kind, static_cast<int>(i)}, use, lists[i]);
+    }
+  };
+  // In PoolId order (fibers, add/drop, amplifiers), so new pools append.
+  count_lists(ResKind::kFiber, cp.free_fibers, Use::kFree);
+  count_lists(ResKind::kFiber, cp.quarantined_fibers, Use::kQuarantined);
+  for (const auto& [dc, list] : cp.free_add_drop) {
+    census.count({ResKind::kAddDrop, dc}, Use::kFree, list);
+  }
+  for (const auto& [dc, list] : cp.quarantined_add_drop) {
+    census.count({ResKind::kAddDrop, dc}, Use::kQuarantined, list);
+  }
+  count_lists(ResKind::kAmp, cp.free_amps, Use::kFree);
+  count_lists(ResKind::kAmp, cp.quarantined_amps, Use::kQuarantined);
+
   for (std::size_t i = 0; i < cp.active.size(); ++i) {
     const Circuit& c = cp.active[i];
     const AllocationRecord& a = cp.allocations[i];
@@ -863,20 +777,23 @@ void validate_checkpoint(const ControllerCheckpoint& cp) {
     for (std::size_t h = 0; h < a.fibers_per_hop.size(); ++h) {
       const graph::EdgeId e = c.route.edges[h];
       if (e < 0) corrupt("negative route edge");
+      if (!cp.quarantined_fibers.empty() &&
+          e >= std::ssize(cp.quarantined_fibers)) {
+        corrupt("allocation references unknown duct");
+      }
       if (static_cast<int>(a.fibers_per_hop[h].size()) != c.fiber_pairs) {
         corrupt("hop fiber count != circuit fiber_pairs");
       }
-      auto& seen = fiber_alloc[e];
-      seen.insert(seen.end(), a.fibers_per_hop[h].begin(),
-                  a.fibers_per_hop[h].end());
     }
     if (a.amp_site) {
       if (*a.amp_site < 0) corrupt("negative amplifier site");
+      if (!cp.quarantined_amps.empty() &&
+          *a.amp_site >= std::ssize(cp.quarantined_amps)) {
+        corrupt("allocation references unknown amplifier site");
+      }
       if (static_cast<int>(a.amp_units.size()) != c.fiber_pairs) {
         corrupt("amp unit count != circuit fiber_pairs");
       }
-      auto& seen = amp_alloc[*a.amp_site];
-      seen.insert(seen.end(), a.amp_units.begin(), a.amp_units.end());
     } else if (!a.amp_units.empty()) {
       corrupt("amplifier units without an amplifier site");
     }
@@ -884,81 +801,11 @@ void validate_checkpoint(const ControllerCheckpoint& cp) {
         static_cast<int>(a.add_drop_b.size()) != c.fiber_pairs) {
       corrupt("add/drop count != circuit fiber_pairs");
     }
-    auto& at_a = add_drop_alloc[c.pair.a];
-    at_a.insert(at_a.end(), a.add_drop_a.begin(), a.add_drop_a.end());
-    auto& at_b = add_drop_alloc[c.pair.b];
-    at_b.insert(at_b.end(), a.add_drop_b.begin(), a.add_drop_b.end());
+    census.hold(c, a);
   }
-
-  // Index sanity: no resource may be negative, appear twice within one
-  // part (double-free, double-quarantine, double-allocation), or sit in the
-  // free pool while also quarantined or allocated. A quarantined index MAY
-  // still be allocated: a resource can fail while a circuit holds it --
-  // mid-apply, replay folds that as quarantined-and-allocated until the
-  // teardown commits -- and it stays out of the free pool when returned.
-  const auto check_partition = [&](const std::vector<int>& free_pool,
-                                   const std::vector<int>& quarantined,
-                                   const std::vector<int>& allocated,
-                                   const char* what) {
-    const auto dedup = [&](const std::vector<int>& part) {
-      std::set<int> seen;
-      for (int idx : part) {
-        if (idx < 0) corrupt(std::string("negative ") + what + " index");
-        if (!seen.insert(idx).second) {
-          corrupt(std::string("duplicate ") + what + " index " +
-                  std::to_string(idx));
-        }
-      }
-      return seen;
-    };
-    dedup(free_pool);
-    const std::set<int> quar = dedup(quarantined);
-    const std::set<int> alloc = dedup(allocated);
-    for (int idx : free_pool) {
-      if (quar.contains(idx) || alloc.contains(idx)) {
-        corrupt(std::string("duplicate ") + what + " index " +
-                std::to_string(idx));
-      }
-    }
-  };
-  static const std::vector<int> kNone;
-  const auto alloc_for = [](const std::map<int, std::vector<int>>& m,
-                            int key) -> const std::vector<int>& {
-    const auto it = m.find(key);
-    return it == m.end() ? kNone : it->second;
-  };
-  for (std::size_t d = 0; d < cp.free_fibers.size(); ++d) {
-    check_partition(cp.free_fibers[d], cp.quarantined_fibers[d],
-                    alloc_for(fiber_alloc, static_cast<int>(d)), "fiber");
-  }
-  for (const auto& [duct, indices] : fiber_alloc) {
-    if (!cp.free_fibers.empty() &&
-        duct >= static_cast<int>(cp.free_fibers.size())) {
-      corrupt("allocation references unknown duct");
-    }
-  }
-  for (std::size_t n = 0; n < cp.free_amps.size(); ++n) {
-    check_partition(cp.free_amps[n], cp.quarantined_amps[n],
-                    alloc_for(amp_alloc, static_cast<int>(n)), "amplifier");
-  }
-  for (const auto& [site, indices] : amp_alloc) {
-    if (!cp.free_amps.empty() &&
-        site >= static_cast<int>(cp.free_amps.size())) {
-      corrupt("allocation references unknown amplifier site");
-    }
-  }
-  {
-    std::set<graph::NodeId> dcs;
-    for (const auto& [dc, pool] : cp.free_add_drop) dcs.insert(dc);
-    for (const auto& [dc, pool] : cp.quarantined_add_drop) dcs.insert(dc);
-    for (const auto& [dc, pool] : add_drop_alloc) dcs.insert(dc);
-    for (graph::NodeId dc : dcs) {
-      const auto f = cp.free_add_drop.find(dc);
-      const auto q = cp.quarantined_add_drop.find(dc);
-      check_partition(f == cp.free_add_drop.end() ? kNone : f->second,
-                      q == cp.quarantined_add_drop.end() ? kNone : q->second,
-                      alloc_for(add_drop_alloc, dc), "add/drop");
-    }
+  if (const auto faults = census.faults(PartitionRule::kMidTransaction);
+      !faults.empty()) {
+    corrupt(faults.front().second);
   }
   for (const auto& [dc, txs] : cp.quarantined_txs) {
     if (dc < 0) corrupt("negative transceiver DC");

@@ -14,9 +14,9 @@
 // (IrisController::recover).
 //
 // Records serialize to diffable line-oriented text in the spirit of
-// core/plan_io: `save`/`load` round-trip exactly; a torn final record (the
-// crash happened mid-write) is tolerated and dropped; a structurally corrupt
-// checkpoint is rejected with a clear error.
+// core/plan_io: `save`/`load` round-trip exactly; a torn tail (the crash
+// happened mid-write) is tolerated and dropped; any other defect, such as a
+// structurally corrupt checkpoint, is rejected with a clear error.
 #pragma once
 
 #include <cstdint>
@@ -59,7 +59,8 @@ struct ZombieConnect {
 /// Full controller state at a point in time: everything recover() needs to
 /// rebuild the books without replaying history from the beginning of time.
 /// Free pools are stored redundantly (they are the complement of allocated
-/// and quarantined indices) so a corrupted checkpoint is detectable.
+/// and quarantined indices) so a corrupted checkpoint is detectable; the
+/// replayed stable state (IntentJournal::Intent) carries none.
 struct ControllerCheckpoint {
   std::uint64_t applies_completed = 0;
   std::vector<Circuit> active;
@@ -113,11 +114,10 @@ struct EstablishBeginRecord {
 struct EstablishDoneRecord {
   Circuit circuit;
 };
-/// A resource left service. kind: 0 = duct fiber (a=duct, b=index),
-/// 1 = add/drop pair (a=dc, b=index), 2 = amplifier unit (a=site, b=index),
-/// 3 = transceiver (a=dc, b=index).
+/// A resource left service: index `b` of the pool `a` (a duct for fibers, a
+/// site or DC otherwise).
 struct QuarantineRecord {
-  int kind = 0;
+  int kind = 0;  ///< ResKind as int (control/ledger.hpp)
   int a = 0;
   int b = 0;
 };
@@ -165,10 +165,12 @@ class IntentJournal {
   // ---- text serialization --------------------------------------------------
   void save(std::ostream& os) const;
   [[nodiscard]] std::string to_text() const;
-  /// Parses a journal. A torn final record (truncated mid-write by a crash)
-  /// is dropped and flagged via dropped_torn_tail(); malformed content
-  /// anywhere else -- including a complete but internally inconsistent
-  /// checkpoint -- throws std::runtime_error with a line number.
+  /// Parses a journal. A torn tail (a crash cut the last write short) is
+  /// dropped and flagged via dropped_torn_tail(): a final line without its
+  /// '\n' (save() ends every line with one), or a final record short of
+  /// its framed lines. Any other malformed content -- including a complete
+  /// final record, or a complete but internally inconsistent checkpoint --
+  /// throws std::runtime_error with a line number.
   static IntentJournal load(std::istream& is);
   static IntentJournal from_text(const std::string& text);
   [[nodiscard]] bool dropped_torn_tail() const noexcept {
@@ -194,8 +196,9 @@ class IntentJournal {
     int slots = 0;  ///< schedule slot count (0 = serial plane)
   };
   /// The journal's reconstructed intent: the stable state as of the last
-  /// terminal record (checkpoint + committed applies folded in), plus the
-  /// in-flight apply the crash interrupted, if any.
+  /// terminal record (checkpoint + committed applies folded in; its free
+  /// pools are left empty for recover() to derive), plus the in-flight
+  /// apply the crash interrupted, if any.
   struct Intent {
     ControllerCheckpoint stable;
     std::optional<InFlightApply> in_flight;
@@ -209,10 +212,12 @@ class IntentJournal {
   bool dropped_torn_tail_ = false;
 };
 
-/// Structural validation used at load time and by recover():
-/// throws std::runtime_error("journal: corrupt checkpoint: ...") on
-/// duplicate or negative pool indices, allocation/route shape mismatches,
-/// or allocation indices colliding with quarantined ones.
+/// Structural validation used at load time, by replay() on every checkpoint
+/// it adopts, and by recover(): throws std::runtime_error("journal: corrupt
+/// checkpoint: ...") on negative or duplicate pool indices, a free index
+/// that is also quarantined or held (the ledger's mid-transaction rule), or
+/// allocation/route shape mismatches. A checkpoint without free pools (the
+/// replayed form) is checked the same way.
 void validate_checkpoint(const ControllerCheckpoint& cp);
 
 }  // namespace iris::control

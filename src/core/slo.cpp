@@ -54,12 +54,6 @@ void validate_slo_params(const PlannerParams& params) {
 
 SloProvisionReport provision_to_availability_slo(
     const fibermap::FiberMap& map, const PlannerParams& params,
-    const reliability::CorrelatedFailureModel& model) {
-  return provision_to_availability_slo(map, params, model, SloCostOptions{});
-}
-
-SloProvisionReport provision_to_availability_slo(
-    const fibermap::FiberMap& map, const PlannerParams& params,
     const reliability::CorrelatedFailureModel& model,
     const SloCostOptions& cost) {
   validate_slo_params(params);

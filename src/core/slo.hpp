@@ -30,8 +30,7 @@ struct SloProvisionReport {
   int bisect_steps = 0;           ///< extra plans evaluated by the bisection
 };
 
-/// Knobs for the cost co-optimization pass of the 4-argument
-/// provision_to_availability_slo overload.
+/// Knobs for provision_to_availability_slo's cost co-optimization pass.
 struct SloCostOptions {
   /// Upper end of the oversubscription bisection. Values <=
   /// params.oversubscription disable cost co-optimization entirely.
@@ -62,27 +61,21 @@ reliability::PairUpFn planned_capacity_criterion(const fibermap::FiberMap& map,
 
 /// Searches failure_tolerance in [params.failure_tolerance,
 /// params.slo_max_tolerance] for the cheapest plan whose worst simulated
-/// pair availability meets params.availability_slo under `model`.
-/// Deterministic: same map, params and model give the same report.
-/// Throws std::invalid_argument if params.availability_slo is not in (0, 1]
-/// or the tolerance range is empty. Equivalent to the 4-argument overload
-/// with default SloCostOptions, to which it delegates.
-SloProvisionReport provision_to_availability_slo(
-    const fibermap::FiberMap& map, const PlannerParams& params,
-    const reliability::CorrelatedFailureModel& model);
-
-/// Cost co-optimizing overload. The tolerance search runs as above but
-/// judges pairs with planned_capacity_criterion(·, cost.demand_waves); then,
-/// when the SLO was met and cost.max_oversubscription >
-/// params.oversubscription, bisects on oversubscription inside the accepted
-/// tolerance for the cheapest (fewest base fibers) plan still meeting the
-/// SLO. Availability is monotone non-increasing in oversubscription (it only
-/// shrinks capacities), so the fixed-depth bisection is exact up to its
-/// resolution. With default SloCostOptions this reduces to the 3-argument
-/// overload (demand_waves = 1 is plain connectivity; bisection disabled).
+/// pair availability meets params.availability_slo under `model`, judging
+/// pairs with planned_capacity_criterion(·, cost.demand_waves). When the SLO
+/// was met and cost.max_oversubscription > params.oversubscription, it then
+/// bisects on oversubscription inside the accepted tolerance for the
+/// cheapest (fewest base fibers) plan still meeting the SLO. Availability is
+/// monotone non-increasing in oversubscription (it only shrinks
+/// capacities), so the fixed-depth bisection is exact up to its resolution.
+/// With default SloCostOptions this is the plain tolerance search
+/// (demand_waves = 1 is plain connectivity; bisection disabled).
+/// Deterministic: same map, params, model and options give the same report.
+/// Throws std::invalid_argument if params.availability_slo is not in (0, 1],
+/// the tolerance range is empty, or an option is out of range.
 SloProvisionReport provision_to_availability_slo(
     const fibermap::FiberMap& map, const PlannerParams& params,
     const reliability::CorrelatedFailureModel& model,
-    const SloCostOptions& cost);
+    const SloCostOptions& cost = {});
 
 }  // namespace iris::core

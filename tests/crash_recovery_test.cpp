@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <memory>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "control/controller.hpp"
@@ -382,6 +383,63 @@ TEST(CrashRecovery, TornJournalTailStillRecoversClean) {
   EXPECT_TRUE(rr.audit.clean()) << rr.audit.summary();
   controller->apply_traffic_matrix(demand(f.map, 1));
   EXPECT_TRUE(controller->audit_devices());
+}
+
+// A stuck mirror quarantines a resource inside a teardown, and the crash
+// tears the journal inside the `teardown_done` that follows. The replayed
+// teardown is begun, not done: its allocation still holds the index the
+// quarantine record pulled. Recovery must accept held-and-quarantined, keep
+// the index out of the free pool when the teardown finishes, and converge.
+TEST(CrashRecovery, TornTeardownAfterQuarantineRecoversClean) {
+  const Fixture& f = fixture();
+  FaultConfig cfg;
+  cfg.rates.oss_port_stuck = 0.02;
+  cfg.seed = 1;
+  cfg.crash_after_commands = 424;
+  DeviceLayer devices(f.map, f.net, f.plan, cfg);
+  IntentJournal journal;
+  auto controller =
+      std::make_unique<IrisController>(f.map, f.net, f.plan, devices);
+  controller->attach_journal(&journal);
+  bool crashed = false;
+  for (const int scale : {0, 1, 0, 2, 0, 1}) {
+    try {
+      controller->apply_traffic_matrix(demand(f.map, scale));
+    } catch (const ControllerCrash&) {
+      crashed = true;
+      break;
+    } catch (const std::runtime_error&) {
+      // A refused apply touched no device; the schedule goes on.
+    }
+  }
+  ASSERT_TRUE(crashed) << "the schedule issues well over 424 commands";
+  controller.reset();
+
+  // Keep the records through the last teardown_done and cut the text
+  // halfway into it.
+  const auto& entries = journal.entries();
+  std::size_t last = entries.size();
+  while (last > 0 &&
+         !std::holds_alternative<TeardownDoneRecord>(entries[last - 1])) {
+    --last;
+  }
+  ASSERT_GE(last, 2u);
+  ASSERT_TRUE(std::holds_alternative<QuarantineRecord>(entries[last - 2]));
+  IntentJournal kept;
+  for (std::size_t i = 0; i + 1 < last; ++i) kept.append(entries[i]);
+  const std::size_t record_start = kept.to_text().size();
+  kept.append(entries[last - 1]);
+  const std::string text = kept.to_text();
+  const std::size_t cut = record_start + (text.size() - record_start) / 2;
+  IntentJournal torn = IntentJournal::from_text(text.substr(0, cut));
+  ASSERT_TRUE(torn.dropped_torn_tail());
+  ASSERT_EQ(torn.size(), last - 1);
+
+  controller = std::make_unique<IrisController>(f.map, f.net, f.plan, devices);
+  RecoveryReport rr;
+  ASSERT_NO_THROW(rr = controller->recover(torn));
+  EXPECT_TRUE(rr.had_in_flight);
+  EXPECT_TRUE(rr.audit.clean()) << rr.audit.summary();
 }
 
 // A cross-connect present on an OSS that no journaled intent explains --

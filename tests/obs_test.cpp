@@ -539,8 +539,8 @@ TEST_F(ObsRegistry, DegradedTimeIsCountedOncePerIntervalAndMirrorsTheGauge) {
 TEST_F(ObsRegistry, ClosedLoopResultIsAViewOverTheRegistry) {
   const auto result = faulty_loop_run(0x5eed);
   auto& reg = registry();
-  // The loop overwrites its integer fields from registry deltas when obs is
-  // on; with a fresh registry the absolute counters ARE the result fields.
+  // The loop mirrors every tally it keeps into a loop.* counter; with a
+  // fresh registry the absolute counters equal the result fields.
   EXPECT_EQ(reg.counter("loop.samples"), result.samples);
   EXPECT_EQ(reg.counter("loop.reconfigurations"), result.reconfigurations);
   EXPECT_EQ(reg.counter("loop.rejected"), result.rejected);
