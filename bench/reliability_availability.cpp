@@ -15,6 +15,8 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "core/slo.hpp"
+#include "obs/metrics.hpp"
 #include "reliability/availability.hpp"
 
 namespace {
@@ -121,6 +123,49 @@ void BM_AvailabilitySimulation(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_AvailabilitySimulation)->Unit(benchmark::kMillisecond);
+
+/// One what-if SLO probe on an n-DC region, shaped like the fleet's
+/// (fleet/query.cpp): the probe's failure model, SLO 0.995 at tolerance 1,
+/// two wavelengths of demand and a bisection up to oversubscription 2. The
+/// `maxflows` counter is the search's planner.slo.maxflows per probe.
+void BM_SloProbe(benchmark::State& state) {
+  fibermap::RegionParams region;
+  region.seed = 7;
+  region.dc_count = static_cast<int>(state.range(0));
+  region.hut_count = 10;
+  region.capacity_fibers = 8;
+  const auto map = fibermap::generate_region(region);
+  core::PlannerParams params;
+  params.failure_tolerance = 1;
+  params.slo_max_tolerance = 1;
+  params.availability_slo = 0.995;
+  params.channels.wavelengths_per_fiber = 40;
+  params.threads = 1;
+  reliability::CorrelatedFailureModel model;
+  model.base.cuts_per_km_year = 0.25;
+  model.base.mean_repair_hours = 24.0;
+  model.base.horizon_years = 40.0;
+  model.base.seed = 0x510bULL;
+  model.ci_batches = 0;
+  core::SloCostOptions cost;
+  cost.max_oversubscription = 2.0;
+  cost.demand_waves = 2;
+  cost.bisect_iters = 4;
+  const long long flows0 = obs::registry().counter("planner.slo.maxflows");
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        core::provision_to_availability_slo(map, params, model, cost));
+  }
+  state.counters["maxflows"] = benchmark::Counter(
+      static_cast<double>(obs::registry().counter("planner.slo.maxflows") -
+                          flows0),
+      benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_SloProbe)
+    ->Arg(5)
+    ->Arg(10)
+    ->Arg(15)
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

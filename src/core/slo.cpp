@@ -1,5 +1,7 @@
 #include "core/slo.hpp"
 
+#include <cmath>
+#include <numeric>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -12,68 +14,163 @@ namespace iris::core {
 using graph::EdgeId;
 using graph::NodeId;
 
-reliability::PairUpFn planned_capacity_criterion(const fibermap::FiberMap& map,
-                                                const ProvisionedNetwork& net,
-                                                long long demand_waves) {
-  if (demand_waves < 1) {
-    throw std::invalid_argument(
-        "planned_capacity_criterion: demand_waves must be >= 1");
-  }
-  std::vector<long long> caps = net.edge_capacity_wavelengths;
-  return [&map, caps = std::move(caps), demand_waves](
-             const graph::EdgeMask& mask, NodeId a, NodeId b) {
-    // Undirected capacity = one arc each way; the plan never zeroes a used
-    // duct under oversubscription, but its capacity shrinks -- which is what
-    // makes this criterion sensitive where plain connectivity is not.
-    graph::MaxFlow flow(map.graph().node_count());
-    for (EdgeId e = 0; e < map.graph().edge_count(); ++e) {
-      const long long cap = caps[static_cast<std::size_t>(e)];
-      if (cap <= 0 || mask.failed(e)) continue;
-      const graph::Edge& edge = map.graph().edge(e);
-      flow.add_edge(edge.u, edge.v, cap);
-      flow.add_edge(edge.v, edge.u, cap);
-    }
-    return flow.solve(a, b) >= demand_waves;
-  };
-}
-
 namespace {
 
-void validate_slo_params(const PlannerParams& params) {
-  if (params.availability_slo <= 0.0 || params.availability_slo > 1.0) {
-    throw std::invalid_argument(
-        "provision_to_availability_slo: availability_slo must be in (0, 1]");
+/// The surviving planned capacity as a flow network: one arc each way per
+/// used duct the mask leaves up. The plan never zeroes a used duct under
+/// oversubscription, but its capacity shrinks -- which is what makes the
+/// capacity criterion sensitive where plain connectivity is not.
+graph::MaxFlow capacity_network(const graph::Graph& g,
+                                const std::vector<long long>& caps,
+                                const graph::EdgeMask& mask) {
+  graph::MaxFlow flow(g.node_count());
+  for (EdgeId e = 0; e < g.edge_count(); ++e) {
+    const long long cap = caps[static_cast<std::size_t>(e)];
+    if (cap <= 0 || mask.failed(e)) continue;
+    const graph::Edge& edge = g.edge(e);
+    flow.add_edge(edge.u, edge.v, cap);
+    flow.add_edge(edge.v, edge.u, cap);
   }
-  if (params.slo_max_tolerance < params.failure_tolerance) {
-    throw std::invalid_argument(
-        "provision_to_availability_slo: empty tolerance range");
+  return flow;
+}
+
+void check_demand(long long demand_waves, const char* message) {
+  if (demand_waves < 1) throw std::invalid_argument(message);
+}
+
+/// One candidate plan integrated over the search's recorded timeline:
+/// states that agree on every planned duct share one class pass.
+reliability::CorrelatedAvailabilityReport evaluate_plan(
+    const fibermap::FiberMap& map, const reliability::FailureTimeline& timeline,
+    const ProvisionedNetwork& net, long long demand_waves,
+    long long& maxflows) {
+  std::vector<bool> planned;
+  for (long long cap : net.edge_capacity_wavelengths) {
+    planned.push_back(cap > 0);
   }
+  const std::vector<int> projected = timeline.project_states(planned);
+  const std::size_t k = timeline.dcs.size();
+  std::vector<int> labels;  // projected state p at [p * k, +k)
+  for (std::size_t s = 0; s < projected.size(); ++s) {
+    // Ids are dense in first-seen order, so a new id is the next block.
+    if (static_cast<std::size_t>(projected[s]) * k < labels.size()) continue;
+    const std::vector<int> classes = planned_capacity_classes(
+        map, net, timeline.failed_mask(static_cast<int>(s)), demand_waves,
+        &maxflows);
+    labels.insert(labels.end(), classes.begin(), classes.end());
+  }
+  reliability::CorrelatedAvailabilityReport report =
+      reliability::integrate_timeline(
+          timeline, [&](int state, std::size_t i, std::size_t j) {
+            const int* row =
+                labels.data() +
+                static_cast<std::size_t>(
+                    projected[static_cast<std::size_t>(state)]) *
+                    k;
+            return row[i] == row[j];
+          });
+  reliability::record_run_metrics(report);
+  return report;
 }
 
 }  // namespace
+
+reliability::PairUpFn planned_capacity_criterion(const fibermap::FiberMap& map,
+                                                const ProvisionedNetwork& net,
+                                                long long demand_waves) {
+  check_demand(demand_waves,
+               "planned_capacity_criterion: demand_waves must be >= 1");
+  std::vector<long long> caps = net.edge_capacity_wavelengths;
+  return [&map, caps = std::move(caps), demand_waves](
+             const graph::EdgeMask& mask, NodeId a, NodeId b) {
+    return capacity_network(map.graph(), caps, mask).solve(a, b) >=
+           demand_waves;
+  };
+}
+
+std::vector<int> planned_capacity_classes(const fibermap::FiberMap& map,
+                                          const ProvisionedNetwork& net,
+                                          const graph::EdgeMask& mask,
+                                          long long demand_waves,
+                                          long long* maxflows) {
+  check_demand(demand_waves,
+               "planned_capacity_classes: demand_waves must be >= 1");
+  const graph::Graph& g = map.graph();
+  const std::vector<long long>& caps = net.edge_capacity_wavelengths;
+  const std::vector<NodeId>& dcs = map.dcs();
+  // Union-find over the surviving planned ducts: DCs in different
+  // components carry nothing between them.
+  std::vector<NodeId> parent(static_cast<std::size_t>(g.node_count()));
+  std::iota(parent.begin(), parent.end(), NodeId{0});
+  const auto find = [&](NodeId n) {
+    while (parent[static_cast<std::size_t>(n)] != n) {
+      auto& up = parent[static_cast<std::size_t>(n)];
+      up = parent[static_cast<std::size_t>(up)];
+      n = up;
+    }
+    return n;
+  };
+  for (EdgeId e = 0; e < g.edge_count(); ++e) {
+    if (caps[static_cast<std::size_t>(e)] <= 0 || mask.failed(e)) continue;
+    parent[static_cast<std::size_t>(find(g.edge(e).u))] = find(g.edge(e).v);
+  }
+
+  graph::MaxFlow flow = capacity_network(g, caps, mask);
+  std::vector<int> label(dcs.size(), -1);
+  for (std::size_t i = 0; i < dcs.size(); ++i) {
+    if (label[i] >= 0) continue;
+    label[i] = static_cast<int>(i);  // i represents a new class
+    for (std::size_t j = i + 1; j < dcs.size(); ++j) {
+      if (label[j] >= 0 || find(dcs[j]) != find(dcs[i])) continue;
+      if (maxflows != nullptr) ++*maxflows;
+      if (flow.solve(dcs[i], dcs[j], demand_waves) >= demand_waves) {
+        label[j] = static_cast<int>(i);
+      }
+    }
+  }
+  return label;
+}
+
+const char* slo_argument_error(const PlannerParams& params,
+                               const SloCostOptions& cost) {
+  // Written so NaN fails every range check.
+  if (!(params.availability_slo > 0.0 && params.availability_slo <= 1.0)) {
+    return "provision_to_availability_slo: availability_slo must be in (0, 1]";
+  }
+  if (params.slo_max_tolerance < params.failure_tolerance) {
+    return "provision_to_availability_slo: empty tolerance range";
+  }
+  if (cost.demand_waves < 1) {
+    return "provision_to_availability_slo: demand_waves must be >= 1";
+  }
+  if (cost.bisect_iters < 0) {
+    return "provision_to_availability_slo: bisect_iters must be >= 0";
+  }
+  if (!std::isfinite(cost.max_oversubscription)) {
+    return "provision_to_availability_slo: max_oversubscription must be "
+           "finite";
+  }
+  return nullptr;
+}
 
 SloProvisionReport provision_to_availability_slo(
     const fibermap::FiberMap& map, const PlannerParams& params,
     const reliability::CorrelatedFailureModel& model,
     const SloCostOptions& cost) {
-  validate_slo_params(params);
-  if (cost.demand_waves < 1) {
-    throw std::invalid_argument(
-        "provision_to_availability_slo: demand_waves must be >= 1");
-  }
-  if (cost.bisect_iters < 0) {
-    throw std::invalid_argument(
-        "provision_to_availability_slo: bisect_iters must be >= 0");
+  if (const char* error = slo_argument_error(params, cost)) {
+    throw std::invalid_argument(error);
   }
 
+  const reliability::FailureTimeline timeline =
+      reliability::record_timeline(map, model);
+  long long maxflows = 0;
   SloProvisionReport report;
   for (int k = params.failure_tolerance; k <= params.slo_max_tolerance; ++k) {
     PlannerParams candidate = params;
     candidate.failure_tolerance = k;
     report.network = provision(map, candidate);
-    report.availability = reliability::simulate_availability_correlated(
-        map, model,
-        planned_capacity_criterion(map, report.network, cost.demand_waves));
+    report.availability = evaluate_plan(map, timeline, report.network,
+                                        cost.demand_waves, maxflows);
     report.tolerance = k;
     ++report.search_steps;
     if (report.availability.summary.worst_availability >=
@@ -92,8 +189,8 @@ SloProvisionReport provision_to_availability_slo(
     const auto feasible_at = [&](double oversub) {
       candidate.oversubscription = oversub;
       ProvisionedNetwork net = provision(map, candidate);
-      auto avail = reliability::simulate_availability_correlated(
-          map, model, planned_capacity_criterion(map, net, cost.demand_waves));
+      auto avail =
+          evaluate_plan(map, timeline, net, cost.demand_waves, maxflows);
       ++report.bisect_steps;
       const bool ok = avail.summary.worst_availability >=
                       params.availability_slo;
@@ -121,6 +218,7 @@ SloProvisionReport provision_to_availability_slo(
   report.oversubscription = report.network.params.oversubscription;
   report.cost_fibers = report.network.total_base_fibers();
   obs::registry().add("planner.slo.search_steps", report.search_steps);
+  obs::registry().add("planner.slo.maxflows", maxflows);
   if (report.met) obs::registry().add("planner.slo.met");
   return report;
 }

@@ -59,6 +59,32 @@ reliability::PairUpFn planned_capacity_criterion(const fibermap::FiberMap& map,
                                                 const ProvisionedNetwork& net,
                                                 long long demand_waves);
 
+/// All pairs of planned_capacity_criterion under one failure mask, as
+/// classes. On an undirected graph the max-flow obeys
+/// lambda(a, c) >= min(lambda(a, b), lambda(b, c)), so "the pair carries >=
+/// demand_waves" is an equivalence relation on DCs. Returns one label per
+/// DC (index into map.dcs()); for i != j, labels[i] == labels[j] exactly
+/// when planned_capacity_criterion(map, net, demand_waves)(mask, dcs[i],
+/// dcs[j]) holds. A union-find pass splits the DCs into components; inside
+/// a component each DC not yet placed runs one max-flow (stopped at
+/// demand_waves) against each class representative before it, so a fully
+/// connected mask costs k - 1 flows for k DCs. Adds the flows run to
+/// `*maxflows` when given. Throws std::invalid_argument when demand_waves <
+/// 1.
+std::vector<int> planned_capacity_classes(const fibermap::FiberMap& map,
+                                          const ProvisionedNetwork& net,
+                                          const graph::EdgeMask& mask,
+                                          long long demand_waves,
+                                          long long* maxflows = nullptr);
+
+/// The argument rule of provision_to_availability_slo: nullptr when the
+/// search would run, else the message it throws. Rejects an
+/// params.availability_slo outside (0, 1] (NaN included), an empty
+/// tolerance range, demand_waves < 1, bisect_iters < 0 and a non-finite
+/// max_oversubscription.
+[[nodiscard]] const char* slo_argument_error(const PlannerParams& params,
+                                             const SloCostOptions& cost);
+
 /// Searches failure_tolerance in [params.failure_tolerance,
 /// params.slo_max_tolerance] for the cheapest plan whose worst simulated
 /// pair availability meets params.availability_slo under `model`, judging
@@ -70,9 +96,17 @@ reliability::PairUpFn planned_capacity_criterion(const fibermap::FiberMap& map,
 /// capacities), so the fixed-depth bisection is exact up to its resolution.
 /// With default SloCostOptions this is the plain tolerance search
 /// (demand_waves = 1 is plain connectivity; bisection disabled).
+///
+/// The failure timeline is recorded once per search and every candidate is
+/// integrated over it (reliability::record_timeline / integrate_timeline).
+/// Per candidate, recorded states are projected onto the planned ducts and
+/// each projected state gets one planned_capacity_classes pass, so every
+/// report double equals simulate_availability_correlated with
+/// planned_capacity_criterion. Records `planner.slo.maxflows` (flows run)
+/// and, per candidate, the run metrics of a correlated simulation.
 /// Deterministic: same map, params, model and options give the same report.
-/// Throws std::invalid_argument if params.availability_slo is not in (0, 1],
-/// the tolerance range is empty, or an option is out of range.
+/// Throws std::invalid_argument with slo_argument_error's message when that
+/// rejects the arguments, or like EventStream on a malformed model.
 SloProvisionReport provision_to_availability_slo(
     const fibermap::FiberMap& map, const PlannerParams& params,
     const reliability::CorrelatedFailureModel& model,

@@ -94,11 +94,27 @@ void run_growth(const RegionSnapshot& snap, const WhatIfQuery& q,
                    snap.network->total_base_fibers();
 }
 
+/// The planner knobs and search options of an SLO probe.
+struct SloProbeInputs {
+  core::PlannerParams params;
+  core::SloCostOptions cost;
+};
+
+SloProbeInputs slo_probe_inputs(const RegionSnapshot& snap,
+                                const WhatIfQuery& q) {
+  SloProbeInputs in;
+  in.params = scratch_params(snap);
+  in.params.availability_slo = q.availability_slo;
+  in.params.slo_max_tolerance = q.slo_max_tolerance;
+  in.cost.max_oversubscription = q.max_oversubscription;
+  in.cost.demand_waves = q.demand_waves;
+  in.cost.bisect_iters = 4;
+  return in;
+}
+
 void run_slo_probe(const RegionSnapshot& snap, const WhatIfQuery& q,
                    WhatIfResult& r) {
-  core::PlannerParams p = scratch_params(snap);
-  p.availability_slo = q.availability_slo;
-  p.slo_max_tolerance = q.slo_max_tolerance;
+  const SloProbeInputs in = slo_probe_inputs(snap, q);
   // Deterministic probe model: fixed rates and a fixed seed salted by the
   // region, so the same (snapshot, query) always simulates the same events.
   reliability::CorrelatedFailureModel model;
@@ -107,18 +123,29 @@ void run_slo_probe(const RegionSnapshot& snap, const WhatIfQuery& q,
   model.base.horizon_years = 40.0;
   model.base.seed = 0x510bULL + static_cast<std::uint64_t>(snap.region);
   model.ci_batches = 0;  // point estimates only; probes want speed
-  core::SloCostOptions cost;
-  cost.max_oversubscription = q.max_oversubscription;
-  cost.demand_waves = q.demand_waves;
-  cost.bisect_iters = 4;
   const core::SloProvisionReport rep =
-      core::provision_to_availability_slo(*snap.map, p, model, cost);
+      core::provision_to_availability_slo(*snap.map, in.params, model, in.cost);
   r.feasible = true;
   r.slo_met = rep.met;
   r.tolerance = rep.tolerance;
   r.worst_availability = rep.availability.summary.worst_availability;
   r.cost_fibers = rep.cost_fibers;
   r.oversubscription = rep.oversubscription;
+}
+
+/// Checks that need no planner work: a drill's duct must exist and an SLO
+/// probe must pass the SLO search's own argument rule.
+bool query_is_valid(const RegionSnapshot& snap, const WhatIfQuery& q) {
+  switch (q.kind) {
+    case QueryKind::kFailureDrill:
+      return q.duct >= 0 && q.duct < snap.map->graph().edge_count();
+    case QueryKind::kGrowth: return true;
+    case QueryKind::kSloProbe: {
+      const SloProbeInputs in = slo_probe_inputs(snap, q);
+      return core::slo_argument_error(in.params, in.cost) == nullptr;
+    }
+  }
+  return false;
 }
 
 }  // namespace
@@ -138,8 +165,7 @@ WhatIfResult run_query(const RegionSnapshot& snap, const WhatIfQuery& query,
   r.region = snap.region;
   r.tick = snap.tick;
   r.version = snap.version;
-  if (query.kind == QueryKind::kFailureDrill &&
-      (query.duct < 0 || query.duct >= snap.map->graph().edge_count())) {
+  if (!query_is_valid(snap, query)) {
     r.status = QueryStatus::kInvalidQuery;  // no planner work, no cache lookup
     return r;
   }

@@ -18,7 +18,9 @@
 //  * kGrowth -- site a new DC (core/expansion): siting-SLA reach check plus
 //    the full expansion replan and its fiber delta.
 //  * kSloProbe -- availability-SLO provisioning (core/slo) with cost
-//    co-optimization against a deterministic correlated failure model.
+//    co-optimization against a deterministic correlated failure model. A
+//    probe the SLO search would reject (core::slo_argument_error) is
+//    rejected kInvalidQuery before any planner work.
 #pragma once
 
 #include <cstdint>
@@ -50,7 +52,8 @@ enum class QueryStatus {
   kDeadlineExpired,    ///< the query's deadline budget elapsed before it ran
   kNoSnapshot,         ///< nothing published (and no shard to resolve one)
   kInvalidQuery,       ///< malformed query, e.g. a drill duct that is not
-                       ///< an edge of the region
+                       ///< an edge of the region or an SLO probe with
+                       ///< demand_waves < 1
 };
 
 [[nodiscard]] const char* query_status_name(QueryStatus status);
@@ -70,7 +73,8 @@ struct WhatIfQuery {
   // kGrowth: the candidate DC.
   core::ExpansionRequest growth;
 
-  // kSloProbe.
+  // kSloProbe: outside core::slo_argument_error's rule (e.g. a NaN SLO or
+  // demand_waves < 1) the query is rejected kInvalidQuery.
   double availability_slo = 0.999;
   int slo_max_tolerance = 2;
   long long demand_waves = 1;

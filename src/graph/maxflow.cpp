@@ -1,7 +1,6 @@
 #include "graph/maxflow.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <queue>
 #include <stdexcept>
 
@@ -59,14 +58,22 @@ Capacity MaxFlow::dfs(int u, int t, Capacity pushed) {
   return 0;
 }
 
-Capacity MaxFlow::solve(int source, int sink) {
+Capacity MaxFlow::solve(int source, int sink, Capacity limit) {
   if (source == sink) throw std::invalid_argument("MaxFlow: source == sink");
+  // Start from zero flow: every edge owns exactly one forward and one
+  // reverse arc, so restoring both undoes any earlier call.
+  for (std::size_t i = 0; i < edge_refs_.size(); ++i) {
+    Arc& a = adj_[edge_refs_[i].first][edge_refs_[i].second];
+    a.cap = orig_cap_[i];
+    adj_[a.to][a.rev].cap = 0;
+  }
+  // An augmenting path never carries more than the flow still missing, so
+  // capping each push at `limit - total` changes nothing below the limit.
   Capacity total = 0;
-  while (bfs(source, sink)) {
+  while (total < limit && bfs(source, sink)) {
     iter_.assign(adj_.size(), 0);
-    while (true) {
-      const Capacity got =
-          dfs(source, sink, std::numeric_limits<Capacity>::max());
+    while (total < limit) {
+      const Capacity got = dfs(source, sink, limit - total);
       if (got == 0) break;
       total += got;
     }

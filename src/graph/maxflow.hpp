@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 namespace iris::graph {
@@ -21,8 +22,13 @@ class MaxFlow {
   /// (usable with `flow_on` after solving).
   int add_edge(int from, int to, Capacity cap);
 
-  /// Computes the maximum flow from `source` to `sink`. May be called once.
-  Capacity solve(int source, int sink);
+  /// Computes the maximum flow from `source` to `sink`, stopping early once
+  /// it reaches `limit`: for limit >= 0 the result is min(max-flow, limit),
+  /// so it is >= `limit` exactly when the true max-flow is. Every call starts
+  /// from zero flow, so one network answers any number of (source, sink)
+  /// questions; flow_on and the min-cut queries describe the latest call.
+  Capacity solve(int source, int sink,
+                 Capacity limit = std::numeric_limits<Capacity>::max());
 
   /// Flow routed on the edge returned by add_edge (valid after solve()).
   [[nodiscard]] Capacity flow_on(int edge_index) const;

@@ -3,6 +3,7 @@
 #include <queue>
 #include <random>
 #include <stdexcept>
+#include <unordered_map>
 
 #include "geo/service_area.hpp"
 
@@ -14,6 +15,30 @@ using graph::NodeId;
 namespace {
 
 constexpr double kHoursPerYear = 365.25 * 24.0;
+
+/// Interns packed bit-set keys to dense ids in order of first appearance.
+class KeyIds {
+ public:
+  /// The key's id and whether this call assigned it.
+  std::pair<int, bool> intern(const std::vector<std::uint64_t>& key) {
+    const auto [it, fresh] =
+        ids_.try_emplace(key, static_cast<int>(ids_.size()));
+    return {it->second, fresh};
+  }
+
+ private:
+  struct Hash {
+    std::size_t operator()(const std::vector<std::uint64_t>& key) const
+        noexcept {
+      std::uint64_t h = 0x9e3779b97f4a7c15ULL;
+      for (std::uint64_t word : key) {
+        h ^= word + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
+      }
+      return static_cast<std::size_t>(h);
+    }
+  };
+  std::unordered_map<std::vector<std::uint64_t>, int, Hash> ids_;
+};
 
 }  // namespace
 
@@ -240,5 +265,100 @@ EventStream::~EventStream() = default;
 std::optional<TimelineEvent> EventStream::next() { return impl_->next(); }
 
 double EventStream::horizon_hours() const noexcept { return impl_->horizon_h; }
+
+graph::EdgeMask FailureTimeline::failed_mask(int state) const {
+  graph::EdgeMask mask(edge_count);
+  const std::size_t base = static_cast<std::size_t>(state) * stride;
+  for (EdgeId e = 0; e < edge_count; ++e) {
+    if (((state_bits[base + static_cast<std::size_t>(e) / 64] >> (e % 64)) &
+         1U) != 0) {
+      mask.fail(e);
+    }
+  }
+  return mask;
+}
+
+std::vector<int> FailureTimeline::project_states(
+    const std::vector<bool>& keep) const {
+  std::vector<std::uint64_t> kept(duct_words, 0);
+  for (std::size_t e = 0; e < keep.size(); ++e) {
+    if (keep[e]) kept[e / 64] |= std::uint64_t{1} << (e % 64);
+  }
+  KeyIds ids;
+  std::vector<int> out(static_cast<std::size_t>(state_count()));
+  std::vector<std::uint64_t> key(duct_words);
+  for (std::size_t s = 0; s < out.size(); ++s) {
+    for (std::size_t w = 0; w < duct_words; ++w) {
+      key[w] = state_bits[s * stride + w] & kept[w];
+    }
+    out[s] = ids.intern(key).first;
+  }
+  return out;
+}
+
+FailureTimeline record_timeline(const fibermap::FiberMap& map,
+                                const CorrelatedFailureModel& model) {
+  const graph::Graph& g = map.graph();
+  EventStream stream(map, model);
+  FailureTimeline tl;
+  tl.dcs = map.dcs();
+  tl.edge_count = g.edge_count();
+  tl.horizon_h = stream.horizon_hours();
+  tl.ci_batches = model.ci_batches >= 2 ? model.ci_batches : 0;
+  tl.duct_words = (static_cast<std::size_t>(g.edge_count()) + 63) / 64;
+  tl.stride = tl.duct_words + (tl.dcs.size() + 63) / 64;
+
+  // Duct state: down while any active event (cut, trench hit, hut outage,
+  // maintenance) covers it, or implicitly dead because an end site is down.
+  // `key` holds the current state's bits and is updated only where an event
+  // touches it.
+  std::vector<int> duct_down_count(g.edge_count(), 0);
+  std::vector<int> site_down_count(g.node_count(), 0);
+  std::vector<std::uint64_t> key(tl.stride, 0);
+  const auto set_bit = [&](std::size_t bit, bool on) {
+    const std::uint64_t mask = std::uint64_t{1} << (bit % 64);
+    if (on) {
+      key[bit / 64] |= mask;
+    } else {
+      key[bit / 64] &= ~mask;
+    }
+  };
+  const auto refresh_duct = [&](EdgeId e) {
+    const graph::Edge& edge = g.edge(e);
+    set_bit(static_cast<std::size_t>(e), duct_down_count[e] > 0 ||
+                                             site_down_count[edge.u] > 0 ||
+                                             site_down_count[edge.v] > 0);
+  };
+
+  KeyIds states;
+  while (const auto ev = stream.next()) {
+    const int delta = event_is_failure(ev->kind) ? 1 : -1;
+    for (EdgeId e : ev->ducts) duct_down_count[e] += delta;
+    for (NodeId n : ev->sites) site_down_count[n] += delta;
+    for (EdgeId e : ev->ducts) refresh_duct(e);
+    for (NodeId n : ev->sites) {
+      for (EdgeId e : g.incident(n)) refresh_duct(e);
+    }
+    if (!ev->sites.empty()) {
+      for (std::size_t i = 0; i < tl.dcs.size(); ++i) {
+        set_bit(tl.duct_words * 64 + i, site_down_count[tl.dcs[i]] > 0);
+      }
+    }
+    switch (ev->kind) {
+      case EventKind::kDuctCut: ++tl.tallies.duct_cut_events; break;
+      case EventKind::kTrenchHit: ++tl.tallies.trench_events; break;
+      case EventKind::kHutOutage: ++tl.tallies.hut_events; break;
+      case EventKind::kMaintenanceStart: ++tl.tallies.maintenance_events; break;
+      case EventKind::kDisaster: ++tl.tallies.disaster_events; break;
+      default: break;
+    }
+    const auto [id, fresh] = states.intern(key);
+    if (fresh) {
+      tl.state_bits.insert(tl.state_bits.end(), key.begin(), key.end());
+    }
+    tl.steps.push_back({ev->at_h, id});
+  }
+  return tl;
+}
 
 }  // namespace iris::reliability

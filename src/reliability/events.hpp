@@ -26,6 +26,8 @@
 // is what keeps the no-SRLG availability output byte-identical.
 #pragma once
 
+#include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -119,11 +121,8 @@ class EventStream {
   std::unique_ptr<Impl> impl_;
 };
 
-/// simulate_availability over the correlated model, with per-kind event
-/// tallies alongside the classic summary. Pair entries carry batch-means
-/// confidence intervals when `model.ci_batches >= 2`.
-struct CorrelatedAvailabilityReport {
-  AvailabilityReport summary;
+/// Failure events by kind over one timeline.
+struct EventTallies {
   long long duct_cut_events = 0;
   long long trench_events = 0;
   long long hut_events = 0;
@@ -131,11 +130,92 @@ struct CorrelatedAvailabilityReport {
   long long disaster_events = 0;
 };
 
-/// Event-driven Monte Carlo over the correlated failure model. With every
-/// group rate zero and no maintenance this produces byte-identical
-/// availabilities to simulate_availability(map, model.base, pair_up) — both
-/// consume the same EventStream. Records `reliability.events{kind=...}`
-/// counters for every nonzero event kind.
+/// simulate_availability over the correlated model, with per-kind event
+/// tallies alongside the classic summary. Pair entries carry batch-means
+/// confidence intervals when `model.ci_batches >= 2`.
+struct CorrelatedAvailabilityReport : EventTallies {
+  AvailabilityReport summary;
+};
+
+/// The failure timeline of one (map, model), recorded once so any number of
+/// criteria can be integrated over it: the EventStream is a pure function of
+/// (map, model), so every criterion would replay the same events.
+///
+/// A *state* is what a pair verdict can depend on after an event: the
+/// effective failed-duct set (ducts covered by an active event, plus every
+/// duct with a down end site) and the set of down DCs (the endpoint rule in
+/// integrate_timeline). Distinct states are interned in order of first
+/// appearance; the timeline is the sequence of (time, state) steps, one per
+/// event.
+struct FailureTimeline {
+  struct Step {
+    double at_h = 0.0;
+    int state = 0;
+  };
+
+  std::vector<graph::NodeId> dcs;  ///< map.dcs(); pair (i, j) = dcs[i], dcs[j]
+  graph::EdgeId edge_count = 0;
+  double horizon_h = 0.0;
+  int ci_batches = 0;  ///< batch-means windows; 0 = no CIs
+  EventTallies tallies;
+  std::vector<Step> steps;
+
+  /// Words per state: the failed-duct bits (EdgeId e is bit e % 64 of word
+  /// e / 64), then the down-DC bits (DC index i, same packing).
+  std::size_t duct_words = 0;
+  std::size_t stride = 0;
+  std::vector<std::uint64_t> state_bits;  ///< state s at [s * stride, +stride)
+
+  [[nodiscard]] int state_count() const noexcept {
+    return stride == 0 ? 0 : static_cast<int>(state_bits.size() / stride);
+  }
+  [[nodiscard]] bool dc_down(int state, std::size_t dc) const noexcept {
+    const std::uint64_t word =
+        state_bits[static_cast<std::size_t>(state) * stride + duct_words +
+                   dc / 64];
+    return ((word >> (dc % 64)) & 1U) != 0;
+  }
+  /// The state's effective failed-duct set as a mask.
+  [[nodiscard]] graph::EdgeMask failed_mask(int state) const;
+
+  /// Groups states by their failed-duct set restricted to the ducts with
+  /// `keep[e]` set (one flag per EdgeId): returns one id per state, dense
+  /// from 0 in order of first appearance. States that agree on every kept
+  /// duct share an id.
+  [[nodiscard]] std::vector<int> project_states(
+      const std::vector<bool>& keep) const;
+};
+
+/// Drains EventStream(map, model) into a timeline. Throws like EventStream
+/// on a malformed model.
+FailureTimeline record_timeline(const fibermap::FiberMap& map,
+                                const CorrelatedFailureModel& model);
+
+/// A pair verdict under a recorded state: is DC pair (i, j) (indices into
+/// FailureTimeline::dcs, i < j) up in state `state`?
+using StateVerdictFn =
+    std::function<bool(int state, std::size_t i, std::size_t j)>;
+
+/// The one downtime integrator. After every step it asks `pair_up` about
+/// each DC pair in (i, j) order, skipping pairs with a down endpoint (a
+/// destroyed DC is not the network's downtime, so such intervals count as
+/// up), and accumulates per-pair downtime and the batch-means CIs. Tallies
+/// come from the timeline.
+CorrelatedAvailabilityReport integrate_timeline(const FailureTimeline& timeline,
+                                                const StateVerdictFn& pair_up);
+
+/// Records one correlated run in the metrics registry:
+/// `reliability.correlated.runs` and `reliability.events{kind=...}` for
+/// every nonzero event kind.
+void record_run_metrics(const EventTallies& tallies);
+
+/// Event-driven Monte Carlo over the correlated failure model: records the
+/// timeline and integrates it, asking `pair_up` each (mask, a, b) at most
+/// once (a per-mask verdict memo). With every group rate zero and no
+/// maintenance this produces byte-identical availabilities to
+/// simulate_availability(map, model.base, pair_up) -- both consume the same
+/// EventStream. Records run metrics (record_run_metrics) plus
+/// `reliability.criterion.evaluations` / `memo_hits`.
 CorrelatedAvailabilityReport simulate_availability_correlated(
     const fibermap::FiberMap& map, const CorrelatedFailureModel& model,
     const PairUpFn& pair_up);

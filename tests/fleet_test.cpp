@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -508,6 +509,61 @@ TEST(FleetQuery, InvalidDuctIsRejected) {
   }
 }
 
+// An SLO probe the SLO search would reject is answered kInvalidQuery before
+// any planner work, like an invalid drill, and never takes down the batch.
+TEST(FleetQuery, InvalidSloProbeIsRejected) {
+  const auto params = small_fleet(1, 8);
+  fleet::Fleet fleet(params);
+  fleet.start();
+  fleet.join();
+  const auto snap = fleet.snapshot(0);
+  ASSERT_NE(snap, nullptr);
+
+  fleet::WhatIfQuery probe;
+  probe.kind = fleet::QueryKind::kSloProbe;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<fleet::WhatIfQuery> bad(5, probe);
+  bad[0].demand_waves = 0;
+  bad[1].availability_slo = nan;
+  bad[2].availability_slo = 2.0;
+  bad[3].max_oversubscription = nan;
+  bad[4].slo_max_tolerance = -1;
+  for (std::size_t i = 0; i < bad.size(); ++i) {
+    const auto direct = fleet::run_query(*snap, bad[i]);
+    EXPECT_EQ(direct.status, fleet::QueryStatus::kInvalidQuery) << "i=" << i;
+    EXPECT_FALSE(direct.feasible);
+  }
+
+  for (const int threads : {1, 4}) {
+    fleet::WhatIfEngine engine(threads);
+    fleet::WhatIfEngine::Job invalid;
+    invalid.snapshot = snap;
+    invalid.query = bad[0];
+    fleet::WhatIfEngine::Job nan_slo = invalid;
+    nan_slo.query = bad[1];
+    fleet::WhatIfEngine::Job drill = invalid;
+    drill.query = fleet::WhatIfQuery{};
+    drill.query.kind = fleet::QueryKind::kFailureDrill;
+    drill.query.duct = 0;
+    // An invalid probe between two drills: both drills still answered.
+    const std::vector<fleet::WhatIfEngine::Job> jobs{drill, invalid, drill,
+                                                     nan_slo};
+    const auto results = engine.run_batch(jobs);
+    ASSERT_EQ(results.size(), jobs.size());
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      const bool valid =
+          jobs[i].query.kind == fleet::QueryKind::kFailureDrill;
+      EXPECT_EQ(results[i].status, valid ? fleet::QueryStatus::kOk
+                                         : fleet::QueryStatus::kInvalidQuery)
+          << "threads " << threads << " i=" << i;
+      EXPECT_EQ(results[i].feasible, valid);
+    }
+    EXPECT_EQ(results[0].fingerprint(), results[2].fingerprint());
+    EXPECT_EQ(engine.rejected_invalid(), 2) << "threads " << threads;
+    EXPECT_EQ(engine.total(), 2);
+  }
+}
+
 // A query that throws inside a worker thread surfaces as an exception from
 // run_batch on the calling thread, after every worker joined.
 TEST(FleetQuery, WorkerExceptionRethrownAfterJoin) {
@@ -523,8 +579,8 @@ TEST(FleetQuery, WorkerExceptionRethrownAfterJoin) {
   drill.query.kind = fleet::QueryKind::kFailureDrill;
   fleet::WhatIfEngine::Job broken;
   broken.snapshot = snap;
-  broken.query.kind = fleet::QueryKind::kSloProbe;
-  broken.query.availability_slo = 2.0;  // provisioning rejects SLOs above 1
+  broken.query.kind = fleet::QueryKind::kGrowth;
+  broken.query.growth.capacity_fibers = 0;  // add_dc rejects a 0-fiber DC
   for (const int threads : {1, 2, 4}) {
     fleet::WhatIfEngine engine(threads);
     EXPECT_THROW((void)engine.run_batch({drill, broken, drill, broken}),

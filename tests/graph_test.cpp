@@ -1,6 +1,9 @@
 #include <algorithm>
 #include <map>
+#include <random>
 #include <set>
+#include <tuple>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -167,6 +170,45 @@ TEST(MaxFlow, RejectsBadInputs) {
   EXPECT_THROW(f.add_edge(0, 9, 1), std::out_of_range);
   EXPECT_THROW(f.add_edge(0, 1, -1), std::invalid_argument);
   EXPECT_THROW(f.solve(1, 1), std::invalid_argument);
+}
+
+// solve(s, t, limit) returns min(max-flow, limit), so it reaches the limit
+// exactly when the true max-flow does; and every call starts from zero
+// flow, so one network answers many (source, sink) questions.
+TEST(MaxFlow, EarlyStopReachesLimitIffTrueFlowDoes) {
+  std::mt19937_64 rng(17);
+  for (int trial = 0; trial < 40; ++trial) {
+    const int n = 4 + trial % 5;
+    std::uniform_int_distribution<int> node(0, n - 1);
+    std::uniform_int_distribution<Capacity> cap(1, 9);
+    std::vector<std::tuple<int, int, Capacity>> arcs;
+    for (int a = 0; a < 2 * n; ++a) {
+      const int u = node(rng);
+      const int v = node(rng);
+      if (u != v) arcs.emplace_back(u, v, cap(rng));
+    }
+    const auto fresh = [&] {
+      MaxFlow f(n);
+      for (const auto& [u, v, c] : arcs) {
+        f.add_edge(u, v, c);
+        f.add_edge(v, u, c);
+      }
+      return f;
+    };
+    MaxFlow reused = fresh();
+    for (int s = 0; s < n; ++s) {
+      for (int t = 0; t < n; ++t) {
+        if (s == t) continue;
+        const Capacity truth = fresh().solve(s, t);
+        EXPECT_EQ(reused.solve(s, t), truth);
+        for (Capacity limit = 0; limit <= truth + 2; ++limit) {
+          const Capacity got = reused.solve(s, t, limit);
+          EXPECT_EQ(got, std::min(truth, limit));
+          EXPECT_EQ(got >= limit, truth >= limit);
+        }
+      }
+    }
+  }
 }
 
 TEST(Failures, EnumerationCountsMatchBinomials) {

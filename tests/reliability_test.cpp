@@ -399,5 +399,72 @@ TEST(Availability, MemoAsksEachMaskAndPairOnce) {
   }
 }
 
+// The all-pairs class pass must answer exactly what the per-pair criterion
+// answers, on every failure state the correlated run records (duct cuts,
+// trench hits, hut outages, maintenance, disasters), from connectivity
+// (demand 1) through a capacity-bound demand to one no pair can carry.
+TEST(Availability, CapacityClassesMatchPerPairCriterion) {
+  const auto& run = correlated_run();
+  const FailureTimeline timeline = record_timeline(run.map, run.model);
+  ASSERT_GT(timeline.state_count(), 100);
+  const auto& dcs = run.map.dcs();
+  for (const long long demand : {1LL, 2LL, 1'000'000LL}) {
+    const PairUpFn oracle =
+        core::planned_capacity_criterion(run.map, run.net, demand);
+    long long flows = 0;
+    long long splits = 0;  // pairs the classes keep apart
+    for (int s = 0; s < timeline.state_count(); ++s) {
+      const graph::EdgeMask mask = timeline.failed_mask(s);
+      const std::vector<int> labels = core::planned_capacity_classes(
+          run.map, run.net, mask, demand, &flows);
+      ASSERT_EQ(labels.size(), dcs.size());
+      for (std::size_t i = 0; i < dcs.size(); ++i) {
+        for (std::size_t j = i + 1; j < dcs.size(); ++j) {
+          const bool together = labels[i] == labels[j];
+          EXPECT_EQ(together, oracle(mask, dcs[i], dcs[j]))
+              << "demand " << demand << " state " << s << " pair " << i
+              << "," << j;
+          if (!together) ++splits;
+        }
+      }
+    }
+    // At most k(k-1)/2 flows per state, and k-1 when every pair is up.
+    EXPECT_LE(flows, static_cast<long long>(timeline.state_count()) * 10);
+    EXPECT_GT(splits, 0) << "demand " << demand;
+  }
+  const graph::EdgeMask nothing_failed(run.map.graph().edge_count());
+  EXPECT_THROW((void)core::planned_capacity_classes(run.map, run.net,
+                                                    nothing_failed, 0),
+               std::invalid_argument);
+}
+
+// Recording keeps every event: steps follow the stream one for one, the
+// tallies match a simulation's, and states are distinct.
+TEST(Availability, TimelineRecordsEveryEventOnce) {
+  const auto& run = correlated_run();
+  const FailureTimeline timeline = record_timeline(run.map, run.model);
+  EventStream stream(run.map, run.model);
+  std::size_t events = 0;
+  while (const auto ev = stream.next()) {
+    ASSERT_LT(events, timeline.steps.size());
+    EXPECT_EQ(timeline.steps[events].at_h, ev->at_h);
+    ++events;
+  }
+  EXPECT_EQ(events, timeline.steps.size());
+  const auto report = simulate_availability_correlated(
+      run.map, run.model, any_path_criterion(run.map));
+  EXPECT_EQ(timeline.tallies.duct_cut_events, report.duct_cut_events);
+  EXPECT_EQ(timeline.tallies.trench_events, report.trench_events);
+  EXPECT_EQ(timeline.tallies.hut_events, report.hut_events);
+  EXPECT_EQ(timeline.tallies.maintenance_events, report.maintenance_events);
+  EXPECT_EQ(timeline.tallies.disaster_events, report.disaster_events);
+  std::set<std::vector<std::uint64_t>> states;
+  for (int s = 0; s < timeline.state_count(); ++s) {
+    const auto* first = timeline.state_bits.data() +
+                        static_cast<std::size_t>(s) * timeline.stride;
+    EXPECT_TRUE(states.emplace(first, first + timeline.stride).second);
+  }
+}
+
 }  // namespace
 }  // namespace iris::reliability

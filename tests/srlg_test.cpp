@@ -7,8 +7,10 @@
 // timeline at every thread count.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "core/provision.hpp"
@@ -18,6 +20,7 @@
 #include "fibermap/srlg.hpp"
 #include "graph/failures.hpp"
 #include "graph/shortest_path.hpp"
+#include "obs/metrics.hpp"
 #include "reliability/events.hpp"
 
 namespace iris {
@@ -475,6 +478,11 @@ TEST(SloProvisioning, RejectsBadArguments) {
   params.slo_max_tolerance = params.failure_tolerance - 1;
   EXPECT_THROW((void)core::provision_to_availability_slo(map, params, cm),
                std::invalid_argument);
+  // NaN fails both range comparisons, so it must be rejected explicitly.
+  params.slo_max_tolerance = params.failure_tolerance;
+  params.availability_slo = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW((void)core::provision_to_availability_slo(map, params, cm),
+               std::invalid_argument);
 }
 
 // The capacity-aware criterion degenerates to plain connectivity over
@@ -599,6 +607,182 @@ TEST(SloProvisioning, CostRejectsBadOptions) {
   EXPECT_THROW(
       (void)core::provision_to_availability_slo(map, params, cm, cost),
       std::invalid_argument);
+  // A non-finite ceiling would silently disable (NaN) or run away with
+  // (infinity) the cost pass.
+  cost.bisect_iters = 1;
+  for (const double ceiling : {std::numeric_limits<double>::quiet_NaN(),
+                               std::numeric_limits<double>::infinity()}) {
+    cost.max_oversubscription = ceiling;
+    EXPECT_THROW(
+        (void)core::provision_to_availability_slo(map, params, cm, cost),
+        std::invalid_argument);
+    EXPECT_NE(core::slo_argument_error(params, cost), nullptr);
+  }
+  cost.max_oversubscription = 2.0;
+  EXPECT_EQ(core::slo_argument_error(params, cost), nullptr);
+}
+
+/// The SLO search rebuilt from public parts with the per-pair criterion:
+/// provision each candidate, simulate it, then bisect the oversubscription.
+core::SloProvisionReport reference_slo_search(
+    const FiberMap& map, const core::PlannerParams& params,
+    const reliability::CorrelatedFailureModel& model,
+    const core::SloCostOptions& cost) {
+  const auto simulate = [&](const core::ProvisionedNetwork& net) {
+    return reliability::simulate_availability_correlated(
+        map, model,
+        core::planned_capacity_criterion(map, net, cost.demand_waves));
+  };
+  core::SloProvisionReport report;
+  for (int k = params.failure_tolerance; k <= params.slo_max_tolerance; ++k) {
+    core::PlannerParams candidate = params;
+    candidate.failure_tolerance = k;
+    report.network = core::provision(map, candidate);
+    report.availability = simulate(report.network);
+    report.tolerance = k;
+    ++report.search_steps;
+    if (report.availability.summary.worst_availability >=
+        params.availability_slo) {
+      report.met = true;
+      break;
+    }
+  }
+  if (report.met && cost.max_oversubscription > params.oversubscription) {
+    core::PlannerParams candidate = params;
+    candidate.failure_tolerance = report.tolerance;
+    const auto feasible_at = [&](double oversub) {
+      candidate.oversubscription = oversub;
+      core::ProvisionedNetwork net = core::provision(map, candidate);
+      auto avail = simulate(net);
+      ++report.bisect_steps;
+      const bool ok =
+          avail.summary.worst_availability >= params.availability_slo;
+      if (ok) {
+        report.network = std::move(net);
+        report.availability = std::move(avail);
+      }
+      return ok;
+    };
+    if (!feasible_at(cost.max_oversubscription)) {
+      double lo = params.oversubscription;
+      double hi = cost.max_oversubscription;
+      for (int i = 0; i < cost.bisect_iters; ++i) {
+        const double mid = 0.5 * (lo + hi);
+        if (feasible_at(mid)) {
+          lo = mid;
+        } else {
+          hi = mid;
+        }
+      }
+    }
+  }
+  report.oversubscription = report.network.params.oversubscription;
+  report.cost_fibers = report.network.total_base_fibers();
+  return report;
+}
+
+void expect_same_report(const core::SloProvisionReport& got,
+                        const core::SloProvisionReport& want) {
+  EXPECT_TRUE(core::same_plan(got.network, want.network));
+  EXPECT_EQ(got.tolerance, want.tolerance);
+  EXPECT_EQ(got.search_steps, want.search_steps);
+  EXPECT_EQ(got.met, want.met);
+  EXPECT_EQ(got.oversubscription, want.oversubscription);
+  EXPECT_EQ(got.cost_fibers, want.cost_fibers);
+  EXPECT_EQ(got.bisect_steps, want.bisect_steps);
+  const auto& a = got.availability;
+  const auto& b = want.availability;
+  EXPECT_EQ(a.duct_cut_events, b.duct_cut_events);
+  EXPECT_EQ(a.trench_events, b.trench_events);
+  EXPECT_EQ(a.hut_events, b.hut_events);
+  EXPECT_EQ(a.maintenance_events, b.maintenance_events);
+  EXPECT_EQ(a.disaster_events, b.disaster_events);
+  EXPECT_EQ(a.summary.cut_events, b.summary.cut_events);
+  EXPECT_EQ(a.summary.worst_availability, b.summary.worst_availability);
+  EXPECT_EQ(a.summary.mean_availability, b.summary.mean_availability);
+  ASSERT_EQ(a.summary.pairs.size(), b.summary.pairs.size());
+  for (std::size_t i = 0; i < a.summary.pairs.size(); ++i) {
+    const auto& p = a.summary.pairs[i];
+    const auto& q = b.summary.pairs[i];
+    EXPECT_EQ(p.a, q.a);
+    EXPECT_EQ(p.b, q.b);
+    // Bit-for-bit: exact double equality, CIs included.
+    EXPECT_EQ(p.availability, q.availability) << "pair " << i;
+    EXPECT_EQ(p.ci_low, q.ci_low) << "pair " << i;
+    EXPECT_EQ(p.ci_high, q.ci_high) << "pair " << i;
+  }
+}
+
+// The search integrates one recorded timeline per candidate with class
+// verdicts; field for field (CIs included) it must equal the search built
+// from provision + simulate_availability_correlated + the per-pair
+// criterion, on every SLO fixture above. Its work counters move as the
+// reference's simulations would, plus the max-flows it ran.
+TEST(SloProvisioning, SearchMatchesPerPairReference) {
+  auto map = planning_map();
+  fibermap::infer_and_add_srlgs(map);
+  struct Case {
+    core::PlannerParams params;
+    reliability::CorrelatedFailureModel model;
+    core::SloCostOptions cost;
+  };
+  std::vector<Case> cases;
+  {
+    Case c;  // RaisesToleranceUntilTargetMet
+    c.params.failure_tolerance = 0;
+    c.params.slo_max_tolerance = 2;
+    c.params.availability_slo = 0.9999;
+    c.params.channels.wavelengths_per_fiber = 40;
+    c.model.base = stressed_model(13);
+    c.model.trench_hits_per_km_year = 0.5;
+    c.model.hut_outages_per_year = 1.0;
+    cases.push_back(c);
+  }
+  {
+    Case c;  // DefaultCostOptionsMatchPlainSearch
+    c.params.failure_tolerance = 0;
+    c.params.slo_max_tolerance = 2;
+    c.params.availability_slo = 0.999;
+    c.params.channels.wavelengths_per_fiber = 40;
+    c.model.base = stressed_model(13);
+    c.model.trench_hits_per_km_year = 0.5;
+    cases.push_back(c);
+  }
+  for (const long long demand : {2LL, 60LL}) {
+    Case c;  // CostPassTradesOversubscriptionForFibers
+    c.params.failure_tolerance = 1;
+    c.params.slo_max_tolerance = 2;
+    c.params.availability_slo = 0.9;
+    c.params.channels.wavelengths_per_fiber = 40;
+    c.model.base = stressed_model(13);
+    c.cost.max_oversubscription = 3.0;
+    c.cost.demand_waves = demand;
+    c.cost.bisect_iters = 6;
+    cases.push_back(c);
+  }
+  auto& reg = obs::registry();
+  const auto runs_key = "reliability.correlated.runs";
+  const auto cut_key = obs::key("reliability.events", {{"kind", "cut"}});
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    SCOPED_TRACE("case " + std::to_string(i));
+    const Case& c = cases[i];
+    const long long runs0 = reg.counter(runs_key);
+    const long long cuts0 = reg.counter(cut_key);
+    const long long flows0 = reg.counter("planner.slo.maxflows");
+    const auto got =
+        core::provision_to_availability_slo(map, c.params, c.model, c.cost);
+    const long long runs1 = reg.counter(runs_key);
+    const long long cuts1 = reg.counter(cut_key);
+    const long long flows1 = reg.counter("planner.slo.maxflows");
+    const auto want = reference_slo_search(map, c.params, c.model, c.cost);
+    expect_same_report(got, want);
+    if (!obs::compiled_in()) continue;
+    // The search moves the run counters exactly as the reference does.
+    EXPECT_EQ(runs1 - runs0, reg.counter(runs_key) - runs1);
+    EXPECT_EQ(cuts1 - cuts0, reg.counter(cut_key) - cuts1);
+    EXPECT_EQ(runs1 - runs0, got.search_steps + got.bisect_steps);
+    EXPECT_GT(flows1 - flows0, 0);
+  }
 }
 
 }  // namespace
