@@ -174,6 +174,41 @@ BENCHMARK(BM_AmpCut)
     ->Args({20, 2})
     ->Unit(benchmark::kMillisecond);
 
+/// A failure drill as the what-if engine answers it: copy a warm base
+/// planner and make the first cut of one duct, cycling through every duct.
+/// `routed` is the machine-independent work per drill: scenarios the cut's
+/// sweep patched or routed instead of serving from a cached record, averaged
+/// over the first cut of every duct.
+void BM_DrillOnClone(benchmark::State& state) {
+  const auto map =
+      bench::make_eval_region(7, static_cast<int>(state.range(0)), 8);
+  auto params = bench::eval_params(static_cast<int>(state.range(1)), 40);
+  params.threads = 1;
+  const core::IncrementalPlanner base(map, params);
+  const graph::EdgeId ducts = map.graph().edge_count();
+  long long routed = 0;
+  for (graph::EdgeId e = 0; e < ducts; ++e) {
+    core::IncrementalPlanner drill(base);
+    (void)drill.cut_duct(e);
+    routed += drill.last_stats().scenarios - drill.last_stats().pruned;
+  }
+  graph::EdgeId next = 0;
+  for (auto _ : state) {
+    core::IncrementalPlanner drill(base);
+    benchmark::DoNotOptimize(drill.cut_duct(next));
+    next = (next + 1) % ducts;
+  }
+  state.counters["routed"] =
+      static_cast<double>(routed) / static_cast<double>(ducts);
+  state.counters["scenarios"] =
+      static_cast<double>(base.current().scenarios_evaluated);
+}
+BENCHMARK(BM_DrillOnClone)
+    ->Args({10, 2})
+    ->Args({15, 2})
+    ->Args({20, 2})
+    ->Unit(benchmark::kMillisecond);
+
 void BM_EndToEndPlan20Dcs(benchmark::State& state) {
   // The paper's planning-runtime envelope: a 20-DC region, tolerance 2.
   const auto map = bench::make_eval_region(22, 20, 8);

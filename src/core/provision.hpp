@@ -33,9 +33,11 @@ struct PlannerParams {
   /// for every thread count.
   int threads = 0;
 
-  /// Incremental sweep: warm-started per-DC routing (prefix-keyed Dijkstra
-  /// caches) plus dominance pruning of scenarios that only fail demand-free
-  /// ducts. Exact — the plan, including diagnostics, is bit-identical to
+  /// Incremental sweep: dominance pruning of scenarios that only fail
+  /// demand-free ducts, and scenario records (core/scenario_record) patched
+  /// from the parent scenario's by re-routing only the pairs that crossed
+  /// the new ducts on warm-started per-DC routing, with hose loads memoized
+  /// per duct. Exact — the plan, including diagnostics, is bit-identical to
   /// the full from-scratch sweep (`incremental = false`), which stays
   /// available as an oracle; see planner_oracle_enabled().
   bool incremental = true;

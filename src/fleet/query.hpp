@@ -15,8 +15,9 @@
 //    builds once, so a drill costs a copy plus the replan. Both give the
 //    same answer bit for bit. A duct outside the region's edge range is
 //    rejected kInvalidQuery before any planner work.
-//  * kGrowth -- site a new DC (core/expansion): siting-SLA reach check plus
-//    the full expansion replan and its fiber delta.
+//  * kGrowth -- site a new DC (core/expansion): expand_region's siting-SLA
+//    reach check, then one provision() of the expanded map for the fiber
+//    delta. No plan of the current region and no expansion replan.
 //  * kSloProbe -- availability-SLO provisioning (core/slo) with cost
 //    co-optimization against a deterministic correlated failure model. A
 //    probe the SLO search would reject (core::slo_argument_error) is

@@ -88,6 +88,13 @@ class PrefixRouter {
   /// Routes every source against base mask + `failed`.
   void sync(std::span<const EdgeId> failed);
 
+  /// Routes source `i` alone against base mask + `failed` and returns its
+  /// tree. Sources routed this way keep their own prefix stacks, so a sweep
+  /// that needs only a few trees per scenario skips the rest.
+  const ShortestPathTree& route(std::size_t i, std::span<const EdgeId> failed) {
+    return per_source_[i].route(failed);
+  }
+
   [[nodiscard]] std::size_t source_count() const noexcept {
     return per_source_.size();
   }

@@ -10,6 +10,7 @@
 #include "core/provision.hpp"
 #include "core/replan.hpp"
 #include "fibermap/generator.hpp"
+#include "fibermap/srlg.hpp"
 #include "graph/incremental.hpp"
 #include "graph/shortest_path.hpp"
 
@@ -296,6 +297,74 @@ TEST(Replan, CopyIsIndependentAndBitIdentical) {
   (void)original.repair_duct(first);
   EXPECT_TRUE(core::same_plan(original.current(), initial));
   EXPECT_TRUE(original.cut_ducts().empty());
+}
+
+/// small_region(seed) with its inferred trench and hut SRLGs plus one
+/// trench group over the first DC's first two ducts.
+fibermap::FiberMap small_region_with_srlgs(std::uint64_t seed) {
+  fibermap::FiberMap map = small_region(seed);
+  fibermap::infer_and_add_srlgs(map);
+  const auto dc0 = map.graph().incident(map.dcs()[0]);
+  if (dc0.size() >= 2) {
+    map.add_srlg(
+        {"dc0-trench", fibermap::SrlgKind::kTrench, {dc0[0], dc0[1]}, 1.0});
+  }
+  return map;
+}
+
+// Property: a cut made on a copy of a pristine planner, and a second cut on
+// top of it, reproduce provision() with those cuts and the exact diffs a
+// cold planner emits, whichever cached sub-scenario each record was shared
+// with or patched from.
+TEST(Replan, SubScenarioSharingMatchesProvisionAndColdPlanner) {
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    for (const bool srlgs : {false, true}) {
+      const auto map = srlgs ? small_region_with_srlgs(seed)
+                             : small_region(seed);
+      const EdgeId ducts = map.graph().edge_count();
+      for (const int tolerance : {1, 2, 3}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "seed " << seed << " srlgs " << srlgs << " k "
+                     << tolerance);
+        const auto params = small_params(tolerance);
+        if (srlgs) {  // some group event fails several ducts at once
+          EXPECT_GT(core::planner_scenarios(map, params).events().size(),
+                    static_cast<std::size_t>(ducts));
+        }
+        const core::IncrementalPlanner base(map, params);
+        for (EdgeId first = 0; first < ducts; ++first) {
+          const EdgeId second = (first + 1) % ducts;
+          auto cut_params = params;
+          cut_params.cut_ducts = {first};
+          core::IncrementalPlanner clone(base);
+          core::IncrementalPlanner cold(map, params);
+          expect_same_diff(clone.cut_duct(first), cold.cut_duct(first));
+          EXPECT_TRUE(core::same_plan(clone.current(),
+                                      core::provision(map, cut_params)))
+              << "first cut " << first;
+          cut_params.cut_ducts.push_back(second);
+          expect_same_diff(clone.cut_duct(second), cold.cut_duct(second));
+          EXPECT_TRUE(core::same_plan(clone.current(),
+                                      core::provision(map, cut_params)))
+              << "cuts " << first << ", " << second;
+        }
+      }
+    }
+  }
+}
+
+// A clone's first cut finds most of its scenarios already planned without
+// the cut duct: every cached record that routes no demand over that duct
+// is shared outright. The depth-first-parent-only rule shared far fewer.
+TEST(Replan, CloneCutSharesAnyCachedSubScenario) {
+  const auto map = small_region(4);
+  const auto params = small_params(3);
+  const core::IncrementalPlanner base(map, params);
+  core::IncrementalPlanner clone(base);
+  (void)clone.cut_duct(busiest_duct(base.current()));
+  // The parent-only rule pruned 198 of this cut's 470 scenarios.
+  EXPECT_EQ(clone.last_stats().scenarios, 470);
+  EXPECT_GT(clone.last_stats().pruned, 198);
 }
 
 TEST(PlanDiff, RejectsDiffAgainstWrongBase) {
