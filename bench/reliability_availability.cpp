@@ -18,6 +18,7 @@
 #include "core/slo.hpp"
 #include "obs/metrics.hpp"
 #include "reliability/availability.hpp"
+#include "reliability/events.hpp"
 
 namespace {
 
@@ -124,44 +125,86 @@ void BM_AvailabilitySimulation(benchmark::State& state) {
 }
 BENCHMARK(BM_AvailabilitySimulation)->Unit(benchmark::kMillisecond);
 
-/// One what-if SLO probe on an n-DC region, shaped like the fleet's
-/// (fleet/query.cpp): the probe's failure model, SLO 0.995 at tolerance 1,
-/// two wavelengths of demand and a bisection up to oversubscription 2. The
-/// `maxflows` counter is the search's planner.slo.maxflows per probe.
-void BM_SloProbe(benchmark::State& state) {
+/// The inputs of one what-if SLO probe on an n-DC region, shaped like the
+/// fleet's (fleet/query.cpp): the probe's failure model, SLO 0.995 at
+/// tolerance 1, two wavelengths of demand and a bisection up to
+/// oversubscription 2.
+struct SloProbe {
+  fibermap::FiberMap map;
+  core::PlannerParams params;
+  reliability::CorrelatedFailureModel model;
+  core::SloCostOptions cost;
+};
+
+SloProbe slo_probe(int dcs) {
+  SloProbe probe;
   fibermap::RegionParams region;
   region.seed = 7;
-  region.dc_count = static_cast<int>(state.range(0));
+  region.dc_count = dcs;
   region.hut_count = 10;
   region.capacity_fibers = 8;
-  const auto map = fibermap::generate_region(region);
-  core::PlannerParams params;
-  params.failure_tolerance = 1;
-  params.slo_max_tolerance = 1;
-  params.availability_slo = 0.995;
-  params.channels.wavelengths_per_fiber = 40;
-  params.threads = 1;
-  reliability::CorrelatedFailureModel model;
-  model.base.cuts_per_km_year = 0.25;
-  model.base.mean_repair_hours = 24.0;
-  model.base.horizon_years = 40.0;
-  model.base.seed = 0x510bULL;
-  model.ci_batches = 0;
-  core::SloCostOptions cost;
-  cost.max_oversubscription = 2.0;
-  cost.demand_waves = 2;
-  cost.bisect_iters = 4;
-  const long long flows0 = obs::registry().counter("planner.slo.maxflows");
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        core::provision_to_availability_slo(map, params, model, cost));
-  }
-  state.counters["maxflows"] = benchmark::Counter(
-      static_cast<double>(obs::registry().counter("planner.slo.maxflows") -
-                          flows0),
-      benchmark::Counter::kAvgIterations);
+  probe.map = fibermap::generate_region(region);
+  probe.params.failure_tolerance = 1;
+  probe.params.slo_max_tolerance = 1;
+  probe.params.availability_slo = 0.995;
+  probe.params.channels.wavelengths_per_fiber = 40;
+  probe.params.threads = 1;
+  probe.model.base.cuts_per_km_year = 0.25;
+  probe.model.base.mean_repair_hours = 24.0;
+  probe.model.base.horizon_years = 40.0;
+  probe.model.base.seed = 0x510bULL;
+  probe.model.ci_batches = 0;
+  probe.cost.max_oversubscription = 2.0;
+  probe.cost.demand_waves = 2;
+  probe.cost.bisect_iters = 4;
+  return probe;
+}
+
+/// Runs `search` once per iteration and reports the search's work per
+/// probe: `maxflows` (planner.slo.maxflows) and `verdict_asks`
+/// (reliability.timeline.verdict_asks, one per failure state and pair per
+/// candidate).
+template <typename Search>
+void time_slo_search(benchmark::State& state, const Search& search) {
+  const auto& reg = obs::registry();
+  const long long flows0 = reg.counter("planner.slo.maxflows");
+  const long long asks0 = reg.counter("reliability.timeline.verdict_asks");
+  for (auto _ : state) benchmark::DoNotOptimize(search());
+  const auto per_probe = [&](const char* name, long long before) {
+    return benchmark::Counter(static_cast<double>(reg.counter(name) - before),
+                              benchmark::Counter::kAvgIterations);
+  };
+  state.counters["maxflows"] = per_probe("planner.slo.maxflows", flows0);
+  state.counters["verdict_asks"] =
+      per_probe("reliability.timeline.verdict_asks", asks0);
+}
+
+/// A cold probe: records the failure timeline, then searches over it.
+void BM_SloProbe(benchmark::State& state) {
+  const SloProbe p = slo_probe(static_cast<int>(state.range(0)));
+  time_slo_search(state, [&] {
+    return core::provision_to_availability_slo(p.map, p.params, p.model,
+                                               p.cost);
+  });
 }
 BENCHMARK(BM_SloProbe)
+    ->Arg(5)
+    ->Arg(10)
+    ->Arg(15)
+    ->Unit(benchmark::kMillisecond);
+
+/// A repeat probe as the what-if engine runs it: the search over a timeline
+/// recorded beforehand.
+void BM_SloProbeWarm(benchmark::State& state) {
+  const SloProbe p = slo_probe(static_cast<int>(state.range(0)));
+  const reliability::FailureTimeline timeline =
+      reliability::record_timeline(p.map, p.model);
+  time_slo_search(state, [&] {
+    return core::provision_to_availability_slo(p.map, p.params, timeline,
+                                               p.cost);
+  });
+}
+BENCHMARK(BM_SloProbeWarm)
     ->Arg(5)
     ->Arg(10)
     ->Arg(15)

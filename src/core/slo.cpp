@@ -16,30 +16,96 @@ using graph::NodeId;
 
 namespace {
 
-/// The surviving planned capacity as a flow network: one arc each way per
-/// used duct the mask leaves up. The plan never zeroes a used duct under
-/// oversubscription, but its capacity shrinks -- which is what makes the
-/// capacity criterion sensitive where plain connectivity is not.
-graph::MaxFlow capacity_network(const graph::Graph& g,
-                                const std::vector<long long>& caps,
-                                const graph::EdgeMask& mask) {
-  graph::MaxFlow flow(g.node_count());
-  for (EdgeId e = 0; e < g.edge_count(); ++e) {
-    const long long cap = caps[static_cast<std::size_t>(e)];
-    if (cap <= 0 || mask.failed(e)) continue;
-    const graph::Edge& edge = g.edge(e);
-    flow.add_edge(edge.u, edge.v, cap);
-    flow.add_edge(edge.v, edge.u, cap);
+/// The plan's used ducts as one flow network: one arc each way per used
+/// duct. A failure state only zeroes its failed ducts' arcs (set_failed),
+/// so a candidate plan builds the network once however many states it is
+/// judged under. The plan never zeroes a used duct under oversubscription,
+/// but its capacity shrinks -- which is what makes the capacity criterion
+/// sensitive where plain connectivity is not.
+class PlannedFlow {
+ public:
+  PlannedFlow(const graph::Graph& g, const std::vector<long long>& caps)
+      : g_(g), flow_(g.node_count()) {
+    for (EdgeId e = 0; e < g.edge_count(); ++e) {
+      const long long cap = caps[static_cast<std::size_t>(e)];
+      if (cap <= 0) continue;
+      const graph::Edge& edge = g.edge(e);
+      ducts_.push_back({e, cap, flow_.add_edge(edge.u, edge.v, cap), true});
+      flow_.add_edge(edge.v, edge.u, cap);
+    }
   }
-  return flow;
-}
+
+  /// Marks exactly the used ducts with `failed(e)` down.
+  template <typename Failed>
+  void set_failed(const Failed& failed) {
+    for (Duct& d : ducts_) {
+      const bool up = !failed(d.id);
+      if (up == d.up) continue;
+      d.up = up;
+      flow_.set_capacity(d.arc, up ? d.cap : 0);
+      flow_.set_capacity(d.arc + 1, up ? d.cap : 0);
+    }
+  }
+
+  [[nodiscard]] long long solve(NodeId a, NodeId b) {
+    return flow_.solve(a, b);
+  }
+
+  /// planned_capacity_classes under the current failures.
+  std::vector<int> classes(const std::vector<NodeId>& dcs,
+                           long long demand_waves, long long* maxflows) {
+    // Union-find over the surviving planned ducts: DCs in different
+    // components carry nothing between them.
+    std::vector<NodeId> parent(static_cast<std::size_t>(g_.node_count()));
+    std::iota(parent.begin(), parent.end(), NodeId{0});
+    const auto find = [&](NodeId n) {
+      while (parent[static_cast<std::size_t>(n)] != n) {
+        auto& up = parent[static_cast<std::size_t>(n)];
+        up = parent[static_cast<std::size_t>(up)];
+        n = up;
+      }
+      return n;
+    };
+    for (const Duct& d : ducts_) {
+      if (!d.up) continue;
+      parent[static_cast<std::size_t>(find(g_.edge(d.id).u))] =
+          find(g_.edge(d.id).v);
+    }
+
+    std::vector<int> label(dcs.size(), -1);
+    for (std::size_t i = 0; i < dcs.size(); ++i) {
+      if (label[i] >= 0) continue;
+      label[i] = static_cast<int>(i);  // i represents a new class
+      for (std::size_t j = i + 1; j < dcs.size(); ++j) {
+        if (label[j] >= 0 || find(dcs[j]) != find(dcs[i])) continue;
+        if (maxflows != nullptr) ++*maxflows;
+        if (flow_.solve(dcs[i], dcs[j], demand_waves) >= demand_waves) {
+          label[j] = static_cast<int>(i);
+        }
+      }
+    }
+    return label;
+  }
+
+ private:
+  struct Duct {
+    EdgeId id;
+    long long cap;
+    int arc;  // the u -> v edge; v -> u is arc + 1
+    bool up;
+  };
+  const graph::Graph& g_;
+  graph::MaxFlow flow_;
+  std::vector<Duct> ducts_;
+};
 
 void check_demand(long long demand_waves, const char* message) {
   if (demand_waves < 1) throw std::invalid_argument(message);
 }
 
 /// One candidate plan integrated over the search's recorded timeline:
-/// states that agree on every planned duct share one class pass.
+/// states that agree on every planned duct share one class pass, and every
+/// pass runs on the candidate's one flow network.
 reliability::CorrelatedAvailabilityReport evaluate_plan(
     const fibermap::FiberMap& map, const reliability::FailureTimeline& timeline,
     const ProvisionedNetwork& net, long long demand_waves,
@@ -50,13 +116,16 @@ reliability::CorrelatedAvailabilityReport evaluate_plan(
   }
   const std::vector<int> projected = timeline.project_states(planned);
   const std::size_t k = timeline.dcs.size();
+  PlannedFlow flow(map.graph(), net.edge_capacity_wavelengths);
   std::vector<int> labels;  // projected state p at [p * k, +k)
   for (std::size_t s = 0; s < projected.size(); ++s) {
     // Ids are dense in first-seen order, so a new id is the next block.
     if (static_cast<std::size_t>(projected[s]) * k < labels.size()) continue;
-    const std::vector<int> classes = planned_capacity_classes(
-        map, net, timeline.failed_mask(static_cast<int>(s)), demand_waves,
-        &maxflows);
+    const int state = static_cast<int>(s);
+    flow.set_failed(
+        [&](EdgeId e) { return timeline.duct_failed(state, e); });
+    const std::vector<int> classes =
+        flow.classes(timeline.dcs, demand_waves, &maxflows);
     labels.insert(labels.end(), classes.begin(), classes.end());
   }
   reliability::CorrelatedAvailabilityReport report =
@@ -83,8 +152,9 @@ reliability::PairUpFn planned_capacity_criterion(const fibermap::FiberMap& map,
   std::vector<long long> caps = net.edge_capacity_wavelengths;
   return [&map, caps = std::move(caps), demand_waves](
              const graph::EdgeMask& mask, NodeId a, NodeId b) {
-    return capacity_network(map.graph(), caps, mask).solve(a, b) >=
-           demand_waves;
+    PlannedFlow flow(map.graph(), caps);
+    flow.set_failed([&](EdgeId e) { return mask.failed(e); });
+    return flow.solve(a, b) >= demand_waves;
   };
 }
 
@@ -95,40 +165,9 @@ std::vector<int> planned_capacity_classes(const fibermap::FiberMap& map,
                                           long long* maxflows) {
   check_demand(demand_waves,
                "planned_capacity_classes: demand_waves must be >= 1");
-  const graph::Graph& g = map.graph();
-  const std::vector<long long>& caps = net.edge_capacity_wavelengths;
-  const std::vector<NodeId>& dcs = map.dcs();
-  // Union-find over the surviving planned ducts: DCs in different
-  // components carry nothing between them.
-  std::vector<NodeId> parent(static_cast<std::size_t>(g.node_count()));
-  std::iota(parent.begin(), parent.end(), NodeId{0});
-  const auto find = [&](NodeId n) {
-    while (parent[static_cast<std::size_t>(n)] != n) {
-      auto& up = parent[static_cast<std::size_t>(n)];
-      up = parent[static_cast<std::size_t>(up)];
-      n = up;
-    }
-    return n;
-  };
-  for (EdgeId e = 0; e < g.edge_count(); ++e) {
-    if (caps[static_cast<std::size_t>(e)] <= 0 || mask.failed(e)) continue;
-    parent[static_cast<std::size_t>(find(g.edge(e).u))] = find(g.edge(e).v);
-  }
-
-  graph::MaxFlow flow = capacity_network(g, caps, mask);
-  std::vector<int> label(dcs.size(), -1);
-  for (std::size_t i = 0; i < dcs.size(); ++i) {
-    if (label[i] >= 0) continue;
-    label[i] = static_cast<int>(i);  // i represents a new class
-    for (std::size_t j = i + 1; j < dcs.size(); ++j) {
-      if (label[j] >= 0 || find(dcs[j]) != find(dcs[i])) continue;
-      if (maxflows != nullptr) ++*maxflows;
-      if (flow.solve(dcs[i], dcs[j], demand_waves) >= demand_waves) {
-        label[j] = static_cast<int>(i);
-      }
-    }
-  }
-  return label;
+  PlannedFlow flow(map.graph(), net.edge_capacity_wavelengths);
+  flow.set_failed([&](EdgeId e) { return mask.failed(e); });
+  return flow.classes(map.dcs(), demand_waves, maxflows);
 }
 
 const char* slo_argument_error(const PlannerParams& params,
@@ -160,9 +199,21 @@ SloProvisionReport provision_to_availability_slo(
   if (const char* error = slo_argument_error(params, cost)) {
     throw std::invalid_argument(error);
   }
+  return provision_to_availability_slo(
+      map, params, reliability::record_timeline(map, model), cost);
+}
 
-  const reliability::FailureTimeline timeline =
-      reliability::record_timeline(map, model);
+SloProvisionReport provision_to_availability_slo(
+    const fibermap::FiberMap& map, const PlannerParams& params,
+    const reliability::FailureTimeline& timeline, const SloCostOptions& cost) {
+  if (const char* error = slo_argument_error(params, cost)) {
+    throw std::invalid_argument(error);
+  }
+  if (timeline.dcs != map.dcs() ||
+      timeline.edge_count != map.graph().edge_count()) {
+    throw std::invalid_argument(
+        "provision_to_availability_slo: timeline recorded on another map");
+  }
   long long maxflows = 0;
   SloProvisionReport report;
   for (int k = params.failure_tolerance; k <= params.slo_max_tolerance; ++k) {

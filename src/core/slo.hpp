@@ -100,16 +100,27 @@ std::vector<int> planned_capacity_classes(const fibermap::FiberMap& map,
 /// The failure timeline is recorded once per search and every candidate is
 /// integrated over it (reliability::record_timeline / integrate_timeline).
 /// Per candidate, recorded states are projected onto the planned ducts and
-/// each projected state gets one planned_capacity_classes pass, so every
-/// report double equals simulate_availability_correlated with
-/// planned_capacity_criterion. Records `planner.slo.maxflows` (flows run)
-/// and, per candidate, the run metrics of a correlated simulation.
-/// Deterministic: same map, params, model and options give the same report.
-/// Throws std::invalid_argument with slo_argument_error's message when that
-/// rejects the arguments, or like EventStream on a malformed model.
+/// each projected state gets one planned_capacity_classes pass on the
+/// candidate's one flow network, so every report double equals
+/// simulate_availability_correlated with planned_capacity_criterion.
+/// Records `planner.slo.maxflows` (flows run) and, per candidate, the run
+/// metrics of a correlated simulation. Deterministic: same map, params,
+/// model and options give the same report. Throws std::invalid_argument
+/// with slo_argument_error's message when that rejects the arguments
+/// (before recording anything), or like EventStream on a malformed model.
 SloProvisionReport provision_to_availability_slo(
     const fibermap::FiberMap& map, const PlannerParams& params,
     const reliability::CorrelatedFailureModel& model,
+    const SloCostOptions& cost = {});
+
+/// The same search over a timeline recorded beforehand with
+/// reliability::record_timeline(map, model): it gives the model form's
+/// report, so a caller probing one map under one model many times records
+/// the timeline once. Throws std::invalid_argument with slo_argument_error's
+/// message, or when the timeline's DCs or duct count are not the map's.
+SloProvisionReport provision_to_availability_slo(
+    const fibermap::FiberMap& map, const PlannerParams& params,
+    const reliability::FailureTimeline& timeline,
     const SloCostOptions& cost = {});
 
 }  // namespace iris::core

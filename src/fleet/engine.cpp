@@ -159,11 +159,13 @@ void FleetSupervisor::fold_into(obs::MetricsRegistry& dst) const {
                 static_cast<double>(quarantined_regions()));
 }
 
-struct WhatIfEngine::DrillBase {
+struct WhatIfEngine::PlanEntry {
   std::shared_ptr<const fibermap::FiberMap> map;  // the planner refers to it
   std::shared_ptr<const core::ProvisionedNetwork> network;
-  std::mutex build_mu;  // concurrent first drills of this plan build once
+  std::mutex planner_mu;  // concurrent first drills of this plan build once
   std::optional<core::IncrementalPlanner> planner;  // set once, then copied
+  std::mutex timeline_mu;  // concurrent first probes of this plan record once
+  std::shared_ptr<const reliability::FailureTimeline> timeline;  // set once
 };
 
 WhatIfEngine::WhatIfEngine(int threads) : threads_(threads) {
@@ -185,40 +187,53 @@ long long snapshot_staleness(const RegionShard& shard,
 
 }  // namespace
 
+std::shared_ptr<WhatIfEngine::PlanEntry> WhatIfEngine::plan_entry(
+    const RegionSnapshot& snap) {
+  std::vector<std::shared_ptr<PlanEntry>> evicted;  // freed after unlocking
+  const std::lock_guard<std::mutex> lock(plans_mu_);
+  const PlanKey key{snap.map.get(), snap.network.get()};
+  auto it = plans_.find(key);
+  if (it == plans_.end()) {
+    // A network only this cache still holds belongs to a fleet that is
+    // gone: no snapshot can ask for that plan again.
+    for (auto e = plans_.begin(); e != plans_.end();) {
+      if (e->second->network.use_count() == 1) {
+        evicted.push_back(std::move(e->second));
+        e = plans_.erase(e);
+      } else {
+        ++e;
+      }
+    }
+    auto fresh = std::make_shared<PlanEntry>();
+    fresh->map = snap.map;
+    fresh->network = snap.network;
+    it = plans_.emplace(key, std::move(fresh)).first;
+  }
+  return it->second;
+}
+
 core::IncrementalPlanner WhatIfEngine::clone_drill_base(
     const RegionSnapshot& snap) {
-  std::shared_ptr<DrillBase> base;
-  std::vector<std::shared_ptr<DrillBase>> evicted;  // freed after unlocking
+  const std::shared_ptr<PlanEntry> entry = plan_entry(snap);
   {
-    const std::lock_guard<std::mutex> lock(bases_mu_);
-    const PlanKey key{snap.map.get(), snap.network.get()};
-    auto it = bases_.find(key);
-    if (it == bases_.end()) {
-      // A network only this cache still holds belongs to a fleet that is
-      // gone: no snapshot can ask for that plan again.
-      for (auto e = bases_.begin(); e != bases_.end();) {
-        if (e->second->network.use_count() == 1) {
-          evicted.push_back(std::move(e->second));
-          e = bases_.erase(e);
-        } else {
-          ++e;
-        }
-      }
-      auto fresh = std::make_shared<DrillBase>();
-      fresh->map = snap.map;
-      fresh->network = snap.network;
-      it = bases_.emplace(key, std::move(fresh)).first;
-    }
-    base = it->second;
-  }
-  {
-    const std::lock_guard<std::mutex> lock(base->build_mu);
-    if (!base->planner.has_value()) {
-      base->planner.emplace(build_drill_planner(snap));
+    const std::lock_guard<std::mutex> lock(entry->planner_mu);
+    if (!entry->planner.has_value()) {
+      entry->planner.emplace(build_drill_planner(snap));
       drill_bases_built_.fetch_add(1, std::memory_order_relaxed);
     }
   }
-  return *base->planner;  // read-only from here on: copies may run at once
+  return *entry->planner;  // read-only from here on: copies may run at once
+}
+
+std::shared_ptr<const reliability::FailureTimeline> WhatIfEngine::slo_timeline(
+    const RegionSnapshot& snap) {
+  const std::shared_ptr<PlanEntry> entry = plan_entry(snap);
+  const std::lock_guard<std::mutex> lock(entry->timeline_mu);
+  if (entry->timeline == nullptr) {
+    entry->timeline = record_slo_timeline(snap);
+    slo_timelines_recorded_.fetch_add(1, std::memory_order_relaxed);
+  }
+  return entry->timeline;  // shared: outlives the entry's eviction
 }
 
 std::vector<WhatIfResult> WhatIfEngine::run_batch(
@@ -227,6 +242,9 @@ std::vector<WhatIfResult> WhatIfEngine::run_batch(
   if (jobs.empty()) return results;
   const auto batch_start = std::chrono::steady_clock::now();
   std::atomic<std::size_t> next{0};
+  const PlanProvider plans{
+      [this](const RegionSnapshot& s) { return clone_drill_base(s); },
+      [this](const RegionSnapshot& s) { return slo_timeline(s); }};
   const auto worker = [&] {
     // Private scratch registry: planner/reliability counters recorded
     // inside a query must never bleed into a region's deterministic series
@@ -281,9 +299,7 @@ std::vector<WhatIfResult> WhatIfEngine::run_batch(
         continue;
       }
       const long long staleness = out.staleness_ticks;
-      out = run_query(*snap, job.query, [this](const RegionSnapshot& s) {
-        return clone_drill_base(s);
-      });
+      out = run_query(*snap, job.query, plans);
       out.staleness_ticks = staleness;
       if (out.status == QueryStatus::kInvalidQuery) {
         rejected_invalid_.fetch_add(1, std::memory_order_relaxed);
@@ -353,6 +369,8 @@ void WhatIfEngine::fold_into(obs::MetricsRegistry& dst) const {
           rejected_invalid_.load(std::memory_order_relaxed));
   dst.add("fleet.queries.drill_bases_built",
           drill_bases_built_.load(std::memory_order_relaxed));
+  dst.add("fleet.queries.slo_timelines_recorded",
+          slo_timelines_recorded_.load(std::memory_order_relaxed));
 }
 
 }  // namespace iris::fleet

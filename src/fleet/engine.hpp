@@ -143,14 +143,19 @@ class FleetSupervisor {
 /// snapshots. Results come back in input order regardless of which worker
 /// ran what, so batch output is deterministic by construction.
 ///
-/// Failure drills cut a copy of a warm base planner instead of planning the
-/// region from scratch. The engine keeps one pristine base per region plan,
-/// keyed by the snapshot's (map, network) pair, which every snapshot of one
-/// region world shares; the base is built on the plan's first drill and is
-/// never cut itself. An entry owns shared copies of its map and network, so
-/// the planner's map reference stays valid and a key's addresses cannot be
-/// reused by another plan while the entry lives. Inserting an entry drops
-/// every entry whose network only the cache still holds: its fleet is gone.
+/// Queries take their per-plan inputs warm. The engine keeps one entry per
+/// region plan, keyed by the snapshot's (map, network) pair, which every
+/// snapshot of one region world shares. An entry holds two members, each
+/// built on its first use behind its own guard, so a probe never waits on a
+/// drill base being built and the other way round:
+///  * the pristine drill base: failure drills cut a copy of it instead of
+///    planning the region from scratch; the base itself is never cut;
+///  * the recorded failure timeline of the plan's SLO probe model: probes
+///    search over it instead of recording it per probe.
+/// An entry owns shared copies of its map and network, so the planner's map
+/// reference stays valid and a key's addresses cannot be reused by another
+/// plan while the entry lives. Inserting an entry drops every entry whose
+/// network only the cache still holds: its fleet is gone.
 class WhatIfEngine {
  public:
   /// One unit of work. The snapshot pointer is pinned by its publishing
@@ -203,6 +208,11 @@ class WhatIfEngine {
   [[nodiscard]] long long drill_bases_built() const noexcept {
     return drill_bases_built_.load(std::memory_order_relaxed);
   }
+  /// SLO probe timelines recorded so far (one per region plan probed, plus
+  /// re-records after an eviction).
+  [[nodiscard]] long long slo_timelines_recorded() const noexcept {
+    return slo_timelines_recorded_.load(std::memory_order_relaxed);
+  }
 
   /// Adds the engine's lifetime tallies to `dst` as fleet.queries.* series.
   void fold_into(obs::MetricsRegistry& dst) const;
@@ -218,17 +228,24 @@ class WhatIfEngine {
   std::atomic<long long> deadline_expired_{0};
   std::atomic<long long> rejected_invalid_{0};
   std::atomic<long long> drill_bases_built_{0};
+  std::atomic<long long> slo_timelines_recorded_{0};
 
-  struct DrillBase;  // one region plan's pristine planner (engine.cpp)
+  struct PlanEntry;  // one region plan's warm inputs (engine.cpp)
   using PlanKey = std::pair<const fibermap::FiberMap*,
                             const core::ProvisionedNetwork*>;
 
+  /// The snapshot plan's entry, inserted (members unbuilt) on first use.
+  std::shared_ptr<PlanEntry> plan_entry(const RegionSnapshot& snap);
   /// A copy of the snapshot plan's base planner, building the base first
   /// if this is the plan's first drill.
   core::IncrementalPlanner clone_drill_base(const RegionSnapshot& snap);
+  /// The snapshot plan's SLO probe timeline, recording it first if this is
+  /// the plan's first probe.
+  std::shared_ptr<const reliability::FailureTimeline> slo_timeline(
+      const RegionSnapshot& snap);
 
-  std::mutex bases_mu_;  // guards the lookup in bases_, never a build
-  std::map<PlanKey, std::shared_ptr<DrillBase>> bases_;
+  std::mutex plans_mu_;  // guards the lookup in plans_, never a build
+  std::map<PlanKey, std::shared_ptr<PlanEntry>> plans_;
 };
 
 }  // namespace iris::fleet

@@ -6,7 +6,6 @@
 #include "core/slo.hpp"
 #include "fleet/shard.hpp"
 #include "obs/metrics.hpp"
-#include "reliability/events.hpp"
 
 namespace iris::fleet {
 
@@ -62,8 +61,8 @@ core::PlannerParams scratch_params(const RegionSnapshot& snap) {
 }
 
 void run_failure_drill(const RegionSnapshot& snap, const WhatIfQuery& q,
-                       const DrillPlanner& drill_planner, WhatIfResult& r) {
-  core::IncrementalPlanner planner = drill_planner(snap);
+                       const PlanProvider& plans, WhatIfResult& r) {
+  core::IncrementalPlanner planner = plans.drill_planner(snap);
   const core::PlanDiff diff = planner.cut_duct(q.duct);
   r.feasible = true;
   r.capacity_changes = static_cast<int>(diff.capacity_changes.size());
@@ -113,18 +112,12 @@ SloProbeInputs slo_probe_inputs(const RegionSnapshot& snap,
 }
 
 void run_slo_probe(const RegionSnapshot& snap, const WhatIfQuery& q,
-                   WhatIfResult& r) {
+                   const PlanProvider& plans, WhatIfResult& r) {
   const SloProbeInputs in = slo_probe_inputs(snap, q);
-  // Deterministic probe model: fixed rates and a fixed seed salted by the
-  // region, so the same (snapshot, query) always simulates the same events.
-  reliability::CorrelatedFailureModel model;
-  model.base.cuts_per_km_year = 0.25;
-  model.base.mean_repair_hours = 24.0;
-  model.base.horizon_years = 40.0;
-  model.base.seed = 0x510bULL + static_cast<std::uint64_t>(snap.region);
-  model.ci_batches = 0;  // point estimates only; probes want speed
-  const core::SloProvisionReport rep =
-      core::provision_to_availability_slo(*snap.map, in.params, model, in.cost);
+  const std::shared_ptr<const reliability::FailureTimeline> timeline =
+      plans.slo_timeline(snap);
+  const core::SloProvisionReport rep = core::provision_to_availability_slo(
+      *snap.map, in.params, *timeline, in.cost);
   r.feasible = true;
   r.slo_met = rep.met;
   r.tolerance = rep.tolerance;
@@ -154,12 +147,30 @@ core::IncrementalPlanner build_drill_planner(const RegionSnapshot& snap) {
   return core::IncrementalPlanner(*snap.map, scratch_params(snap));
 }
 
+reliability::CorrelatedFailureModel slo_probe_model(
+    const RegionSnapshot& snap) {
+  reliability::CorrelatedFailureModel model;
+  model.base.cuts_per_km_year = 0.25;
+  model.base.mean_repair_hours = 24.0;
+  model.base.horizon_years = 40.0;
+  model.base.seed = 0x510bULL + static_cast<std::uint64_t>(snap.region);
+  model.ci_batches = 0;  // point estimates only; probes want speed
+  return model;
+}
+
+std::shared_ptr<const reliability::FailureTimeline> record_slo_timeline(
+    const RegionSnapshot& snap) {
+  return std::make_shared<const reliability::FailureTimeline>(
+      reliability::record_timeline(*snap.map, slo_probe_model(snap)));
+}
+
 WhatIfResult run_query(const RegionSnapshot& snap, const WhatIfQuery& query) {
-  return run_query(snap, query, build_drill_planner);
+  static const PlanProvider cold{build_drill_planner, record_slo_timeline};
+  return run_query(snap, query, cold);
 }
 
 WhatIfResult run_query(const RegionSnapshot& snap, const WhatIfQuery& query,
-                       const DrillPlanner& drill_planner) {
+                       const PlanProvider& plans) {
   WhatIfResult r;
   r.kind = query.kind;
   r.region = snap.region;
@@ -171,10 +182,10 @@ WhatIfResult run_query(const RegionSnapshot& snap, const WhatIfQuery& query,
   }
   switch (query.kind) {
     case QueryKind::kFailureDrill:
-      run_failure_drill(snap, query, drill_planner, r);
+      run_failure_drill(snap, query, plans, r);
       break;
     case QueryKind::kGrowth: run_growth(snap, query, r); break;
-    case QueryKind::kSloProbe: run_slo_probe(snap, query, r); break;
+    case QueryKind::kSloProbe: run_slo_probe(snap, query, plans, r); break;
   }
   obs::registry().add(
       obs::key("fleet.query.executed", {{"kind", query_kind_name(query.kind)}}));

@@ -19,18 +19,25 @@
 //    reach check, then one provision() of the expanded map for the fiber
 //    delta. No plan of the current region and no expansion replan.
 //  * kSloProbe -- availability-SLO provisioning (core/slo) with cost
-//    co-optimization against a deterministic correlated failure model. A
-//    probe the SLO search would reject (core::slo_argument_error) is
-//    rejected kInvalidQuery before any planner work.
+//    co-optimization against a deterministic correlated failure model
+//    (slo_probe_model), searched over that model's recorded failure
+//    timeline. run_query records the timeline per probe; WhatIfEngine
+//    records it once per plan and keeps it beside the drill base, so a
+//    repeat probe costs the candidates' provisioning and one class pass per
+//    distinct failure state. Both give the same answer bit for bit. A probe
+//    the SLO search would reject (core::slo_argument_error) is rejected
+//    kInvalidQuery before any planner work or timeline recording.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 
 #include "core/expansion.hpp"
 #include "core/replan.hpp"
 #include "fleet/snapshot.hpp"
+#include "reliability/events.hpp"
 
 namespace iris::fleet {
 
@@ -118,23 +125,42 @@ struct WhatIfResult {
   [[nodiscard]] std::uint64_t fingerprint() const;
 };
 
-/// Supplies the planner a failure drill cuts: one holding the snapshot's
-/// plan with no cuts, owned by the drill and discarded after it.
-using DrillPlanner =
-    std::function<core::IncrementalPlanner(const RegionSnapshot&)>;
+/// The per-plan inputs a query may take warm instead of building them.
+/// Each member is called at most once per query, and only for a valid query
+/// of its kind.
+struct PlanProvider {
+  /// The planner a failure drill cuts: one holding the snapshot's plan with
+  /// no cuts, owned by the drill and discarded after it.
+  std::function<core::IncrementalPlanner(const RegionSnapshot&)> drill_planner;
+  /// The recorded failure timeline an SLO probe searches over:
+  /// reliability::record_timeline(*snap.map, slo_probe_model(snap)).
+  std::function<std::shared_ptr<const reliability::FailureTimeline>(
+      const RegionSnapshot&)>
+      slo_timeline;
+};
 
-/// The cold DrillPlanner: plans the snapshot's region from scratch with the
+/// The cold drill planner: plans the snapshot's region from scratch with the
 /// snapshot's own parameters, single-threaded.
 core::IncrementalPlanner build_drill_planner(const RegionSnapshot& snap);
 
+/// The SLO probe's deterministic failure model: fixed rates and a fixed
+/// seed salted by the region, so the same (snapshot, query) always
+/// simulates the same events.
+reliability::CorrelatedFailureModel slo_probe_model(const RegionSnapshot& snap);
+
+/// The cold SLO timeline: records slo_probe_model(snap) on the snapshot's
+/// map.
+std::shared_ptr<const reliability::FailureTimeline> record_slo_timeline(
+    const RegionSnapshot& snap);
+
 /// Executes one query against a pinned snapshot. Read-only on the snapshot;
 /// obs series land in whatever registry is bound on the calling thread.
-/// Failure drills cut a planner from build_drill_planner.
+/// Cold: a drill cuts a planner from build_drill_planner and a probe
+/// searches a timeline from record_slo_timeline, both made for this call.
 WhatIfResult run_query(const RegionSnapshot& snap, const WhatIfQuery& query);
 
-/// As above, with a failure drill cutting the planner `drill_planner`
-/// returns. It is called at most once, and only for a valid drill.
+/// As above, with a query taking its planner or timeline from `plans`.
 WhatIfResult run_query(const RegionSnapshot& snap, const WhatIfQuery& query,
-                       const DrillPlanner& drill_planner);
+                       const PlanProvider& plans);
 
 }  // namespace iris::fleet

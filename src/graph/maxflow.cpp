@@ -24,18 +24,24 @@ int MaxFlow::add_edge(int from, int to, Capacity cap) {
   return static_cast<int>(edge_refs_.size()) - 1;
 }
 
+void MaxFlow::set_capacity(int edge_index, Capacity cap) {
+  if (cap < 0) {
+    throw std::invalid_argument("MaxFlow::set_capacity: negative cap");
+  }
+  orig_cap_.at(edge_index) = cap;
+}
+
 bool MaxFlow::bfs(int s, int t) {
   level_.assign(adj_.size(), -1);
-  std::queue<int> q;
+  queue_.clear();
   level_[s] = 0;
-  q.push(s);
-  while (!q.empty()) {
-    const int u = q.front();
-    q.pop();
+  queue_.push_back(s);
+  for (std::size_t head = 0; head < queue_.size(); ++head) {
+    const int u = queue_[head];
     for (const Arc& a : adj_[u]) {
       if (a.cap > 0 && level_[a.to] < 0) {
         level_[a.to] = level_[u] + 1;
-        q.push(a.to);
+        queue_.push_back(a.to);
       }
     }
   }

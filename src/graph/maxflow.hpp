@@ -22,6 +22,11 @@ class MaxFlow {
   /// (usable with `flow_on` after solving).
   int add_edge(int from, int to, Capacity cap);
 
+  /// Replaces the capacity of the edge returned by add_edge. It takes
+  /// effect at the next solve(), so one network serves capacity variants
+  /// of the same arc set (0 disables an edge) without being rebuilt.
+  void set_capacity(int edge_index, Capacity cap);
+
   /// Computes the maximum flow from `source` to `sink`, stopping early once
   /// it reaches `limit`: for limit >= 0 the result is min(max-flow, limit),
   /// so it is >= `limit` exactly when the true max-flow is. Every call starts
@@ -59,6 +64,7 @@ class MaxFlow {
   std::vector<Capacity> orig_cap_;
   std::vector<int> level_;
   std::vector<int> iter_;
+  std::vector<int> queue_;  // bfs frontier, reused across calls
 };
 
 }  // namespace iris::graph

@@ -1,6 +1,7 @@
 #include "reliability/availability.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <stdexcept>
@@ -39,6 +40,8 @@ PairUpFn via_hub_criterion(const fibermap::FiberMap& map,
 CorrelatedAvailabilityReport integrate_timeline(const FailureTimeline& timeline,
                                                 const StateVerdictFn& pair_up) {
   const std::size_t n = timeline.dcs.size();
+  // Pair p is the p-th (i, j), i < j, in (i, j) order.
+  const std::size_t pairs = n < 2 ? 0 : n * (n - 1) / 2;
   const double horizon_h = timeline.horizon_h;
   CorrelatedAvailabilityReport out;
   static_cast<EventTallies&>(out) = timeline.tallies;
@@ -46,10 +49,7 @@ CorrelatedAvailabilityReport integrate_timeline(const FailureTimeline& timeline,
   const EventTallies& t = timeline.tallies;
   report.cut_events = t.duct_cut_events + t.trench_events + t.hut_events +
                       t.maintenance_events + t.disaster_events;
-  std::vector<double> down_hours(n * n, 0.0);
-  const auto pair_index = [&](std::size_t i, std::size_t j) {
-    return i * n + j;
-  };
+  std::vector<double> down_hours(pairs, 0.0);
 
   // Batch-means scaffolding for the confidence intervals: the horizon is
   // split into `ci_batches` equal windows and every downtime interval is
@@ -59,10 +59,10 @@ CorrelatedAvailabilityReport integrate_timeline(const FailureTimeline& timeline,
   const int batches = timeline.ci_batches;
   const double batch_h =
       batches > 0 ? horizon_h / static_cast<double>(batches) : 0.0;
-  std::vector<double> batch_down(static_cast<std::size_t>(batches) * n * n,
+  std::vector<double> batch_down(static_cast<std::size_t>(batches) * pairs,
                                  0.0);
-  const auto close_interval = [&](std::size_t idx, double from_h, double to_h) {
-    down_hours[idx] += to_h - from_h;
+  const auto close_interval = [&](std::size_t p, double from_h, double to_h) {
+    down_hours[p] += to_h - from_h;
     if (batches == 0) return;
     const auto first = static_cast<int>(from_h / batch_h);
     for (int b = first; b < batches; ++b) {
@@ -73,54 +73,72 @@ CorrelatedAvailabilityReport integrate_timeline(const FailureTimeline& timeline,
         if (static_cast<double>(b) * batch_h >= to_h) break;
         continue;
       }
-      batch_down[static_cast<std::size_t>(b) * n * n + idx] += hi - lo;
+      batch_down[static_cast<std::size_t>(b) * pairs + p] += hi - lo;
     }
   };
 
-  std::vector<bool> pair_down(n * n, false);
-  std::vector<double> down_since(n * n, 0.0);
-  for (const FailureTimeline::Step& step : timeline.steps) {
+  // One down-pair bit row per state. A destroyed endpoint DC is not the
+  // *network's* downtime: the SLA between a pair only applies while both
+  // ends exist. Such pairs count as up so the designs are compared on
+  // connectivity alone.
+  const std::size_t words = (pairs + 63) / 64;
+  std::vector<std::uint64_t> rows(
+      static_cast<std::size_t>(timeline.state_count()) * words, 0);
+  long long asks = 0;
+  for (int state = 0; state < timeline.state_count(); ++state) {
+    std::uint64_t* row = rows.data() + static_cast<std::size_t>(state) * words;
+    std::size_t p = 0;
     for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = i + 1; j < n; ++j) {
-        const auto idx = pair_index(i, j);
-        // A destroyed endpoint DC is not the *network's* downtime: the SLA
-        // between a pair only applies while both ends exist. Such intervals
-        // count as up so the designs are compared on connectivity alone.
-        const bool endpoint_down =
-            timeline.dc_down(step.state, i) || timeline.dc_down(step.state, j);
-        const bool up = endpoint_down || pair_up(step.state, i, j);
-        if (!up && !pair_down[idx]) {
-          pair_down[idx] = true;
-          down_since[idx] = step.at_h;
-        } else if (up && pair_down[idx]) {
-          pair_down[idx] = false;
-          close_interval(idx, down_since[idx], step.at_h);
-        }
+      for (std::size_t j = i + 1; j < n; ++j, ++p) {
+        if (timeline.dc_down(state, i) || timeline.dc_down(state, j)) continue;
+        ++asks;
+        if (!pair_up(state, i, j)) row[p / 64] |= std::uint64_t{1} << (p % 64);
       }
     }
   }
+  if (asks > 0) obs::registry().add("reliability.timeline.verdict_asks", asks);
+
+  // A pair's verdict changes exactly where its bit differs from the row of
+  // the step before (all up before the first step).
+  std::vector<std::uint64_t> down(words, 0);
+  std::vector<double> down_since(pairs, 0.0);
+  for (const FailureTimeline::Step& step : timeline.steps) {
+    const std::uint64_t* row =
+        rows.data() + static_cast<std::size_t>(step.state) * words;
+    for (std::size_t w = 0; w < words; ++w) {
+      for (std::uint64_t flips = down[w] ^ row[w]; flips != 0;
+           flips &= flips - 1) {
+        const auto bit = static_cast<std::size_t>(std::countr_zero(flips));
+        const std::size_t p = w * 64 + bit;
+        if (((row[w] >> bit) & 1U) != 0) {
+          down_since[p] = step.at_h;
+        } else {
+          close_interval(p, down_since[p], step.at_h);
+        }
+      }
+      down[w] = row[w];
+    }
+  }
   // Close any open downtime intervals at the horizon.
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i + 1; j < n; ++j) {
-      const auto idx = pair_index(i, j);
-      if (pair_down[idx]) close_interval(idx, down_since[idx], horizon_h);
+  for (std::size_t p = 0; p < pairs; ++p) {
+    if (((down[p / 64] >> (p % 64)) & 1U) != 0) {
+      close_interval(p, down_since[p], horizon_h);
     }
   }
 
   double sum = 0.0;
+  std::size_t p = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i + 1; j < n; ++j) {
-      const auto idx = pair_index(i, j);
+    for (std::size_t j = i + 1; j < n; ++j, ++p) {
       PairAvailability pa;
       pa.a = timeline.dcs[i];
       pa.b = timeline.dcs[j];
-      pa.availability = 1.0 - down_hours[idx] / horizon_h;
+      pa.availability = 1.0 - down_hours[p] / horizon_h;
       if (batches > 0) {
         // 95% batch-means CI, centered on the exact point estimate.
         const auto batch_availability = [&](int b) {
           return 1.0 -
-                 batch_down[static_cast<std::size_t>(b) * n * n + idx] /
-                     batch_h;
+                 batch_down[static_cast<std::size_t>(b) * pairs + p] / batch_h;
         };
         double mean = 0.0;
         for (int b = 0; b < batches; ++b) mean += batch_availability(b);
@@ -173,7 +191,9 @@ namespace {
 /// it has already been asked about gets the recorded answer; states that
 /// differ only in down DCs share one mask.
 /// Records `reliability.criterion.evaluations` (criterion calls made) and
-/// `reliability.criterion.memo_hits` (asks answered from the memo).
+/// `reliability.criterion.memo_hits`: of the asks a per-step walk makes
+/// (every step, every pair with both ends up), those answered without a
+/// criterion call.
 CorrelatedAvailabilityReport integrate_memoized(const FailureTimeline& timeline,
                                                 const PairUpFn& pair_up) {
   const std::size_t n = timeline.dcs.size();
@@ -189,9 +209,10 @@ CorrelatedAvailabilityReport integrate_memoized(const FailureTimeline& timeline,
   graph::EdgeMask mask;
   int mask_state = -1;  // the state `mask` was built from
   long long evaluations = 0;
-  long long memo_hits = 0;
+  std::vector<long long> asks(static_cast<std::size_t>(timeline.state_count()));
   CorrelatedAvailabilityReport out = integrate_timeline(
       timeline, [&](int state, std::size_t i, std::size_t j) {
+        ++asks[static_cast<std::size_t>(state)];
         signed char& verdict =
             verdicts[static_cast<std::size_t>(
                          mask_of[static_cast<std::size_t>(state)]) *
@@ -204,11 +225,15 @@ CorrelatedAvailabilityReport integrate_memoized(const FailureTimeline& timeline,
           }
           verdict = pair_up(mask, timeline.dcs[i], timeline.dcs[j]) ? 1 : 0;
           ++evaluations;
-        } else {
-          ++memo_hits;
         }
         return verdict == 1;
       });
+  // A per-step walk asks each step's state again; all but the evaluations
+  // come from the memo.
+  long long memo_hits = -evaluations;
+  for (const FailureTimeline::Step& step : timeline.steps) {
+    memo_hits += asks[static_cast<std::size_t>(step.state)];
+  }
   auto& reg = obs::registry();
   if (evaluations > 0) {
     reg.add("reliability.criterion.evaluations", evaluations);

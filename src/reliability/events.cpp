@@ -268,12 +268,8 @@ double EventStream::horizon_hours() const noexcept { return impl_->horizon_h; }
 
 graph::EdgeMask FailureTimeline::failed_mask(int state) const {
   graph::EdgeMask mask(edge_count);
-  const std::size_t base = static_cast<std::size_t>(state) * stride;
   for (EdgeId e = 0; e < edge_count; ++e) {
-    if (((state_bits[base + static_cast<std::size_t>(e) / 64] >> (e % 64)) &
-         1U) != 0) {
-      mask.fail(e);
-    }
+    if (duct_failed(state, e)) mask.fail(e);
   }
   return mask;
 }

@@ -169,11 +169,11 @@ struct FailureTimeline {
   [[nodiscard]] int state_count() const noexcept {
     return stride == 0 ? 0 : static_cast<int>(state_bits.size() / stride);
   }
+  [[nodiscard]] bool duct_failed(int state, graph::EdgeId e) const noexcept {
+    return bit(state, static_cast<std::size_t>(e));
+  }
   [[nodiscard]] bool dc_down(int state, std::size_t dc) const noexcept {
-    const std::uint64_t word =
-        state_bits[static_cast<std::size_t>(state) * stride + duct_words +
-                   dc / 64];
-    return ((word >> (dc % 64)) & 1U) != 0;
+    return bit(state, duct_words * 64 + dc);
   }
   /// The state's effective failed-duct set as a mask.
   [[nodiscard]] graph::EdgeMask failed_mask(int state) const;
@@ -184,6 +184,14 @@ struct FailureTimeline {
   /// duct share an id.
   [[nodiscard]] std::vector<int> project_states(
       const std::vector<bool>& keep) const;
+
+ private:
+  /// Bit `at` of state `state`'s words (ducts first, then DCs).
+  [[nodiscard]] bool bit(int state, std::size_t at) const noexcept {
+    const std::uint64_t word =
+        state_bits[static_cast<std::size_t>(state) * stride + at / 64];
+    return ((word >> (at % 64)) & 1U) != 0;
+  }
 };
 
 /// Drains EventStream(map, model) into a timeline. Throws like EventStream
@@ -196,11 +204,15 @@ FailureTimeline record_timeline(const fibermap::FiberMap& map,
 using StateVerdictFn =
     std::function<bool(int state, std::size_t i, std::size_t j)>;
 
-/// The one downtime integrator. After every step it asks `pair_up` about
-/// each DC pair in (i, j) order, skipping pairs with a down endpoint (a
-/// destroyed DC is not the network's downtime, so such intervals count as
-/// up), and accumulates per-pair downtime and the batch-means CIs. Tallies
-/// come from the timeline.
+/// The one downtime integrator. It asks `pair_up` about each (state, DC
+/// pair) once: state by state in id order (the order of their first steps),
+/// pairs in (i, j) order, skipping pairs with a down endpoint (a destroyed
+/// DC is not the network's downtime, so such intervals count as up). The
+/// answers form one down-pair bit row per state; the step walk XORs
+/// consecutive rows and touches only the pairs whose verdict changed,
+/// accumulating per-pair downtime and the batch-means CIs. Tallies come
+/// from the timeline. Records `reliability.timeline.verdict_asks` (calls
+/// made to `pair_up`).
 CorrelatedAvailabilityReport integrate_timeline(const FailureTimeline& timeline,
                                                 const StateVerdictFn& pair_up);
 

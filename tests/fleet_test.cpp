@@ -454,6 +454,85 @@ TEST(FleetQuery, DeadFleetBaseIsEvictedOnNextInsert) {
   EXPECT_EQ(results.front().canonical(), dead_answer);
 }
 
+/// One SLO probe per (region, oversubscription ceiling), `passes` times over.
+std::vector<fleet::WhatIfEngine::Job> slo_probes(const fleet::Fleet& fl,
+                                                 int passes) {
+  std::vector<fleet::WhatIfEngine::Job> jobs;
+  for (int pass = 0; pass < passes; ++pass) {
+    for (int region = 0; region < fl.regions(); ++region) {
+      for (const double ceiling : {1.25, 1.5, 1.75, 2.0}) {
+        fleet::WhatIfEngine::Job job;
+        job.snapshot = fl.snapshot(region);
+        job.query.kind = fleet::QueryKind::kSloProbe;
+        job.query.availability_slo = 0.995;
+        job.query.slo_max_tolerance = 1;
+        job.query.demand_waves = 2;
+        job.query.max_oversubscription = ceiling;
+        jobs.push_back(job);
+      }
+    }
+  }
+  return jobs;
+}
+
+// The engine's probes search one timeline recorded per plan; each must
+// answer exactly as the cold path (a timeline recorded per probe), on
+// repeat, whatever the pool size -- and concurrent first probes of one plan
+// record its timeline once.
+TEST(FleetQuery, WarmSloProbeMatchesCold) {
+  const auto params = small_fleet(2, 8);
+  std::weak_ptr<const core::ProvisionedNetwork> dead_network;
+  fleet::WhatIfEngine survivor(2);
+  {
+    fleet::Fleet fleet(params);
+    fleet.start();
+    fleet.join();
+    ASSERT_NE(fleet.snapshot(0), nullptr);
+    ASSERT_NE(fleet.snapshot(1), nullptr);
+
+    const auto jobs = slo_probes(fleet, 2);
+    std::vector<std::string> cold;
+    for (const auto& job : jobs) {
+      cold.push_back(fleet::run_query(*job.snapshot, job.query).canonical());
+    }
+    for (const int threads : {1, 4}) {
+      fleet::WhatIfEngine engine(threads);
+      const auto warm = engine.run_batch(jobs);
+      ASSERT_EQ(warm.size(), jobs.size());
+      for (std::size_t i = 0; i < jobs.size(); ++i) {
+        EXPECT_EQ(warm[i].status, fleet::QueryStatus::kOk);
+        EXPECT_TRUE(warm[i].feasible);
+        EXPECT_EQ(warm[i].canonical(), cold[i])
+            << "threads " << threads << " job " << i;
+      }
+      EXPECT_EQ(engine.slo_timelines_recorded(), 2) << "threads " << threads;
+      EXPECT_EQ(engine.drill_bases_built(), 0) << "threads " << threads;
+      obs::MetricsRegistry folded;
+      engine.fold_into(folded);
+#ifndef IRIS_OBS_OFF
+      EXPECT_EQ(folded.counters().at("fleet.queries.slo_timelines_recorded"),
+                2);
+#endif
+    }
+    dead_network = fleet.snapshot(0)->network;
+    (void)survivor.run_batch(slo_probes(fleet, 1));
+    EXPECT_EQ(survivor.slo_timelines_recorded(), 2);
+  }
+  // The cache entry alone keeps the dead plan alive...
+  EXPECT_FALSE(dead_network.expired());
+  fleet::Fleet new_fleet(params);
+  new_fleet.start();
+  new_fleet.join();
+  ASSERT_NE(new_fleet.snapshot(0), nullptr);
+  fleet::WhatIfEngine::Job probe = slo_probes(new_fleet, 1).front();
+  const auto results = survivor.run_batch({probe});
+  // ...until a new plan's entry is inserted, which evicts it.
+  EXPECT_TRUE(dead_network.expired());
+  EXPECT_EQ(survivor.slo_timelines_recorded(), 3);
+  EXPECT_EQ(results.front().canonical(),
+            fleet::run_query(*probe.snapshot, probe.query).canonical());
+}
+
 // A drill duct outside the region's edge range is a structured rejection
 // on any pool size and batch shape, never an exception or an abort -- and
 // it is rejected before the engine builds or looks up a base.

@@ -2,7 +2,9 @@
 #include <map>
 #include <random>
 #include <set>
+#include <stdexcept>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -209,6 +211,62 @@ TEST(MaxFlow, EarlyStopReachesLimitIffTrueFlowDoes) {
       }
     }
   }
+}
+
+// set_capacity must leave no trace of earlier capacities or solves: after
+// each round of re-capacitating (zeros included), the network answers
+// exactly as one built fresh with the same arcs and the new capacities --
+// flow values with and without a limit, per-edge flows and the min cut.
+TEST(MaxFlow, SetCapacityMatchesFreshNetwork) {
+  std::mt19937_64 rng(23);
+  for (int trial = 0; trial < 30; ++trial) {
+    const int n = 3 + trial % 6;
+    std::uniform_int_distribution<int> node(0, n - 1);
+    std::uniform_int_distribution<Capacity> cap(0, 9);
+    std::vector<std::pair<int, int>> arcs;
+    for (int a = 0; a < 2 * n; ++a) {
+      const int u = node(rng);
+      const int v = node(rng);
+      if (u != v) arcs.emplace_back(u, v);
+    }
+    const auto build = [&](const std::vector<Capacity>& caps) {
+      MaxFlow f(n);
+      for (std::size_t i = 0; i < arcs.size(); ++i) {
+        f.add_edge(arcs[i].first, arcs[i].second, caps[i]);
+      }
+      return f;
+    };
+    std::vector<Capacity> caps(arcs.size());
+    for (Capacity& c : caps) c = cap(rng);
+    MaxFlow reused = build(caps);
+    (void)reused.solve(0, n - 1);  // leave flow behind
+    for (int round = 0; round < 4; ++round) {
+      for (std::size_t i = 0; i < arcs.size(); ++i) {
+        caps[i] = cap(rng);
+        reused.set_capacity(static_cast<int>(i), caps[i]);
+      }
+      MaxFlow fresh = build(caps);
+      for (int s = 0; s < n; ++s) {
+        for (int t = 0; t < n; ++t) {
+          if (s == t) continue;
+          const Capacity truth = fresh.solve(s, t);
+          ASSERT_EQ(reused.solve(s, t), truth)
+              << "trial " << trial << " round " << round;
+          for (int e = 0; e < static_cast<int>(arcs.size()); ++e) {
+            EXPECT_EQ(reused.flow_on(e), fresh.flow_on(e));
+          }
+          EXPECT_EQ(reused.min_cut_edges(s), fresh.min_cut_edges(s));
+          for (Capacity limit = 0; limit <= truth + 1; ++limit) {
+            EXPECT_EQ(reused.solve(s, t, limit), fresh.solve(s, t, limit));
+          }
+        }
+      }
+    }
+  }
+  MaxFlow f(2);
+  const int e = f.add_edge(0, 1, 3);
+  EXPECT_THROW(f.set_capacity(e, -1), std::invalid_argument);
+  EXPECT_THROW(f.set_capacity(e + 1, 1), std::out_of_range);
 }
 
 TEST(Failures, EnumerationCountsMatchBinomials) {

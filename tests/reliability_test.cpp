@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <cmath>
 #include <set>
 #include <tuple>
+#include <vector>
 
 #include "core/provision.hpp"
 #include "core/slo.hpp"
@@ -436,6 +439,157 @@ TEST(Availability, CapacityClassesMatchPerPairCriterion) {
   EXPECT_THROW((void)core::planned_capacity_classes(run.map, run.net,
                                                     nothing_failed, 0),
                std::invalid_argument);
+}
+
+/// The per-step downtime integrator, written out plainly: after every step
+/// ask every pair with both ends up, open or close its downtime interval,
+/// and split closed intervals over the batch-means windows.
+CorrelatedAvailabilityReport per_step_reference(
+    const FailureTimeline& tl, const std::vector<std::vector<bool>>& up) {
+  const std::size_t n = tl.dcs.size();
+  const int batches = tl.ci_batches;
+  const double batch_h =
+      batches > 0 ? tl.horizon_h / static_cast<double>(batches) : 0.0;
+  std::vector<double> down_h(n * n, 0.0);
+  std::vector<double> batch_down(static_cast<std::size_t>(batches) * n * n,
+                                 0.0);
+  std::vector<bool> down(n * n, false);
+  std::vector<double> since(n * n, 0.0);
+  const auto close = [&](std::size_t idx, double from, double to) {
+    down_h[idx] += to - from;
+    for (int b = 0; b < batches; ++b) {
+      const double lo = std::max(from, static_cast<double>(b) * batch_h);
+      const double hi = std::min(to, static_cast<double>(b + 1) * batch_h);
+      if (hi > lo) {
+        batch_down[static_cast<std::size_t>(b) * n * n + idx] += hi - lo;
+      }
+    }
+  };
+  for (const FailureTimeline::Step& step : tl.steps) {
+    std::size_t p = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = i + 1; j < n; ++j, ++p) {
+        const std::size_t idx = i * n + j;
+        const bool ok = tl.dc_down(step.state, i) ||
+                        tl.dc_down(step.state, j) ||
+                        up[static_cast<std::size_t>(step.state)][p];
+        if (!ok && !down[idx]) {
+          down[idx] = true;
+          since[idx] = step.at_h;
+        } else if (ok && down[idx]) {
+          down[idx] = false;
+          close(idx, since[idx], step.at_h);
+        }
+      }
+    }
+  }
+  CorrelatedAvailabilityReport out;
+  static_cast<EventTallies&>(out) = tl.tallies;
+  double sum = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = i + 1; j < n; ++j) {
+      const std::size_t idx = i * n + j;
+      if (down[idx]) close(idx, since[idx], tl.horizon_h);
+      PairAvailability pa;
+      pa.a = tl.dcs[i];
+      pa.b = tl.dcs[j];
+      pa.availability = 1.0 - down_h[idx] / tl.horizon_h;
+      pa.ci_low = pa.ci_high = pa.availability;
+      if (batches > 0) {
+        std::vector<double> a(static_cast<std::size_t>(batches));
+        double mean = 0.0;
+        for (int b = 0; b < batches; ++b) {
+          a[static_cast<std::size_t>(b)] =
+              1.0 - batch_down[static_cast<std::size_t>(b) * n * n + idx] /
+                        batch_h;
+          mean += a[static_cast<std::size_t>(b)];
+        }
+        mean /= static_cast<double>(batches);
+        double var = 0.0;
+        for (const double a_b : a) var += (a_b - mean) * (a_b - mean);
+        var /= static_cast<double>(batches - 1);
+        const double half =
+            1.96 * std::sqrt(var / static_cast<double>(batches));
+        pa.ci_low = std::max(0.0, pa.availability - half);
+        pa.ci_high = std::min(1.0, pa.availability + half);
+      }
+      out.summary.worst_availability =
+          std::min(out.summary.worst_availability, pa.availability);
+      sum += pa.availability;
+      out.summary.pairs.push_back(pa);
+    }
+  }
+  out.summary.mean_availability =
+      sum / static_cast<double>(out.summary.pairs.size());
+  return out;
+}
+
+// The state-row integrator must give exactly the per-step reference's
+// doubles (CIs included) on a run with every event kind, under a
+// connectivity and a capacity verdict, while asking each (state, pair) at
+// most once.
+TEST(Availability, StateRowsMatchPerStepReference) {
+  const auto& run = correlated_run();
+  const FailureTimeline timeline = record_timeline(run.map, run.model);
+  ASSERT_GT(timeline.ci_batches, 0);
+  ASSERT_GT(timeline.steps.size(),
+            4 * static_cast<std::size_t>(timeline.state_count()));
+  const auto& dcs = run.map.dcs();
+  const std::vector<PairUpFn> criteria{
+      any_path_criterion(run.map),
+      core::planned_capacity_criterion(run.map, run.net, 2)};
+  for (std::size_t c = 0; c < criteria.size(); ++c) {
+    // Every verdict, precomputed per (state, pair).
+    std::vector<std::vector<bool>> up;
+    for (int s = 0; s < timeline.state_count(); ++s) {
+      const graph::EdgeMask mask = timeline.failed_mask(s);
+      std::vector<bool> row;
+      for (std::size_t i = 0; i < dcs.size(); ++i) {
+        for (std::size_t j = i + 1; j < dcs.size(); ++j) {
+          row.push_back(criteria[c](mask, dcs[i], dcs[j]));
+        }
+      }
+      up.push_back(std::move(row));
+    }
+    std::set<std::tuple<int, std::size_t, std::size_t>> asked;
+    long long asks = 0;
+    const long long asks0 =
+        obs::registry().counter("reliability.timeline.verdict_asks");
+    const CorrelatedAvailabilityReport got = integrate_timeline(
+        timeline, [&](int state, std::size_t i, std::size_t j) {
+          ++asks;
+          EXPECT_TRUE(asked.emplace(state, i, j).second)
+              << "state " << state << " pair " << i << "," << j;
+          const std::size_t p =
+              i * dcs.size() - i * (i + 1) / 2 + (j - i - 1);
+          return static_cast<bool>(up[static_cast<std::size_t>(state)][p]);
+        });
+    EXPECT_GT(asks, 0);
+    EXPECT_LE(asks, static_cast<long long>(timeline.state_count()) * 10);
+    if (obs::compiled_in()) {
+      EXPECT_EQ(
+          obs::registry().counter("reliability.timeline.verdict_asks") - asks0,
+          asks);
+    }
+    const CorrelatedAvailabilityReport want =
+        per_step_reference(timeline, up);
+    ASSERT_EQ(got.summary.pairs.size(), want.summary.pairs.size());
+    for (std::size_t p = 0; p < want.summary.pairs.size(); ++p) {
+      const PairAvailability& g = got.summary.pairs[p];
+      const PairAvailability& w = want.summary.pairs[p];
+      EXPECT_EQ(g.a, w.a);
+      EXPECT_EQ(g.b, w.b);
+      // Bit-for-bit: exact double equality.
+      EXPECT_EQ(g.availability, w.availability)
+          << "criterion " << c << " pair " << p;
+      EXPECT_EQ(g.ci_low, w.ci_low) << "criterion " << c << " pair " << p;
+      EXPECT_EQ(g.ci_high, w.ci_high) << "criterion " << c << " pair " << p;
+    }
+    EXPECT_EQ(got.summary.worst_availability, want.summary.worst_availability);
+    EXPECT_EQ(got.summary.mean_availability, want.summary.mean_availability);
+    EXPECT_LT(got.summary.worst_availability, 1.0);
+    EXPECT_EQ(got.disaster_events, want.disaster_events);
+  }
 }
 
 // Recording keeps every event: steps follow the stream one for one, the
