@@ -110,7 +110,8 @@ void BM_FailureEnumeration(benchmark::State& state) {
   for (auto _ : state) {
     long long count = 0;
     core::planner_scenarios(map, bench::eval_params(2, 40))
-        .for_each([&](const graph::EdgeMask&, std::span<const graph::EdgeId>) {
+        .for_each([&](const graph::EdgeMask&, std::span<const graph::EdgeId>,
+                      int) {
           ++count;
         });
     benchmark::DoNotOptimize(count);

@@ -48,7 +48,7 @@ int main(int argc, char** argv) {
   std::vector<double> stretch;
   const graph::ScenarioSet scenarios = core::planner_scenarios(map, params);
   scenarios.for_each([&](const graph::EdgeMask& mask,
-                         std::span<const graph::EdgeId>) {
+                         std::span<const graph::EdgeId>, int) {
     for (std::size_t i = 0; i < dcs.size(); ++i) {
       const auto tree = graph::dijkstra(map.graph(), dcs[i], mask);
       for (std::size_t j = i + 1; j < dcs.size(); ++j) {

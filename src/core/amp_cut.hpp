@@ -14,10 +14,12 @@
 //
 // Both stages walk the planner's failure scenarios in the sweep's serial
 // depth-first order; the greedy choices depend on that order. Each scenario
-// is routed once, with warm-started per-DC trees, and its DC-pair paths are
-// interned: a region's scenarios repeat a few hundred distinct paths tens of
-// thousands of times, so the plan-independent facts about a path (unaided
-// feasibility, amplifier sites) are computed once per distinct path.
+// is routed once, as a scenario record (core/scenario_record) patched from
+// its parent's: a region's scenarios repeat a few hundred distinct paths
+// tens of thousands of times, so the plan-independent facts about a path
+// (unaided feasibility, amplifier sites) are computed once per id of the
+// recorder's path pool. The recorder lives only as long as one placement
+// run.
 #pragma once
 
 #include <vector>

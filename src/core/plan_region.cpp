@@ -1,7 +1,9 @@
 #include "core/plan_region.hpp"
 
+#include <optional>
+
 #include "core/path_physics.hpp"
-#include "graph/incremental.hpp"
+#include "core/scenario_record.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 
@@ -34,63 +36,42 @@ ValidationReport validate_plan(const fibermap::FiberMap& map,
   const obs::Span span("planner.validate");
   const graph::Graph& g = map.graph();
   const optical::OpticalSpec& spec = net.params.spec;
-  const auto& dcs = map.dcs();
 
-  // Per-worker report + routing state; the counters are plain sums, so
-  // merging in worker order is bit-identical to the serial sweep.
+  // The baseline record is routed on the calling thread before the pool
+  // spawns; every worker's recorder is a copy, so each starts its depth
+  // stack from the baseline. The plan is fixed, so a path's verdict is
+  // memoized per pool id. The counters are plain sums, so merging in worker
+  // order is bit-identical to the serial sweep.
+  const graph::ScenarioSet scenarios = planner_scenarios(map, net.params);
+  ScenarioRecorder root(map, net.params, /*hose_loads=*/false);
+  root.begin_sweep(scenarios.base_mask());
+  (void)root.descend({}, 0);
   struct Worker {
+    std::optional<ScenarioRecorder> recorder;
+    std::vector<signed char> feasible;  // per pool id; -1 = not yet checked
     ValidationReport report;
-    std::vector<graph::DijkstraWorkspace> dijkstra;
-    graph::PrefixRouter router;
   };
   const int workers = graph::resolve_thread_count(net.params.threads);
   std::vector<Worker> acc(static_cast<std::size_t>(workers));
-
-  // Warm-started routing under params.incremental: the canonical trees are
-  // identical to from-scratch Dijkstra (graph/incremental.hpp), so every
-  // counter matches the cold sweep exactly.
-  const graph::ScenarioSet scenarios = planner_scenarios(map, net.params);
-  const bool warm = net.params.incremental;
-  for (auto& w : acc) {
-    if (warm) {
-      w.router = graph::PrefixRouter(g, dcs, scenarios.base_mask());
-    } else {
-      w.dijkstra.resize(dcs.size());
-    }
-  }
+  for (Worker& w : acc) w.recorder.emplace(root);
 
   scenarios.for_each_parallel(
       workers, [&](int worker) -> graph::ScenarioVisitor {
-        return [&, worker](const graph::EdgeMask& mask,
-                           std::span<const graph::EdgeId> failed) {
-          Worker& w = acc[static_cast<std::size_t>(worker)];
-          if (warm) {
-            w.router.sync(failed);
-          } else {
-            for (std::size_t i = 0; i < dcs.size(); ++i) {
-              graph::dijkstra(g, dcs[i], mask, w.dijkstra[i]);
-            }
-          }
-          const auto tree_of =
-              [&](std::size_t i) -> const graph::ShortestPathTree& {
-            return warm ? w.router.tree(i) : w.dijkstra[i].tree;
-          };
-          for (std::size_t i = 0; i < dcs.size(); ++i) {
-            for (std::size_t j = i + 1; j < dcs.size(); ++j) {
-              const auto path = graph::extract_path(tree_of(i), dcs[j]);
-              if (!path) {
-                ++w.report.pairs_disconnected;
-                continue;
-              }
-              if (path->length_km > spec.max_path_km) {
-                ++w.report.paths_beyond_sla;
-                continue;
-              }
-              ++w.report.paths_checked;
-              if (!path_feasible_with_plan(g, *path, plan, spec)) {
-                ++w.report.infeasible_paths;
-              }
-            }
+        Worker& w = acc[static_cast<std::size_t>(worker)];
+        return [&](const graph::EdgeMask&,
+                   std::span<const graph::EdgeId> failed, int depth) {
+          const ScenarioRecord& rec = *w.recorder->descend(failed, depth);
+          w.feasible.resize(w.recorder->path_count(), -1);
+          w.report.pairs_disconnected += rec.unreachable;
+          w.report.paths_beyond_sla += rec.beyond_sla;
+          for (const std::int32_t id : rec.path_id) {
+            if (id < 0) continue;
+            const graph::Path& path = w.recorder->path(id);
+            if (path.length_km > spec.max_path_km) continue;
+            ++w.report.paths_checked;
+            signed char& ok = w.feasible[static_cast<std::size_t>(id)];
+            if (ok < 0) ok = path_feasible_with_plan(g, path, plan, spec);
+            if (ok == 0) ++w.report.infeasible_paths;
           }
         };
       });

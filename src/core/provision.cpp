@@ -121,12 +121,9 @@ struct ProvisionAccumulator {
   long long unreachable = 0;
   long long beyond_sla = 0;
 
-  // Incremental sweep: this worker's recorder, the record of each ancestor
-  // scenario by failed-event depth with its flattened failed-duct count,
-  // and the demand bitmap handed back to the pruned sweep.
+  // Incremental sweep: this worker's recorder and the demand bitmap handed
+  // back to the pruned sweep.
   std::optional<ScenarioRecorder> recorder;
-  std::vector<RecordPtr> stack;
-  std::vector<std::size_t> flat_size;
   std::vector<char> used;
 
   // Full sweep: one Dijkstra workspace per DC, per-duct pair lists, and the
@@ -212,18 +209,13 @@ ProvisionedNetwork run_provision(const fibermap::FiberMap& map,
     // patched from its parent's record, re-routing only the pairs that
     // crossed the newly failed event, with hose loads memoized per duct.
     // The baseline record is built here on the calling thread before the
-    // pool spawns; every worker's recorder is a copy of this one, so the
-    // baseline's path ids read back the same in each.
+    // pool spawns; every worker's recorder is a copy of this one, so each
+    // starts its depth stack from the baseline and its path ids read back
+    // the same in each.
     ScenarioRecorder root(map, params);
     root.begin_sweep(scenarios.base_mask());
-    const RecordPtr baseline = root.route_all({});
-    out.baseline_paths = root.paths_of(*baseline);
-    const auto depths = static_cast<std::size_t>(params.failure_tolerance) + 1;
-    for (auto& a : acc) {
-      a.recorder.emplace(root);
-      a.stack.assign(depths, baseline);
-      a.flat_size.assign(depths, 0);
-    }
+    out.baseline_paths = root.paths_of(*root.descend({}, 0));
+    for (auto& a : acc) a.recorder.emplace(root);
     const graph::SweepStats stats = scenarios.for_each_pruned_parallel(
         workers, [&](int worker) -> graph::PrunedScenarioVisitor {
           ProvisionAccumulator& a = acc[static_cast<std::size_t>(worker)];
@@ -231,13 +223,7 @@ ProvisionedNetwork run_provision(const fibermap::FiberMap& map,
           v.evaluate = [&](const graph::EdgeMask&,
                            std::span<const EdgeId> failed, int depth)
               -> const std::vector<char>& {
-            const auto d = static_cast<std::size_t>(depth);
-            if (d > 0) {
-              a.stack[d] = a.recorder->patch(
-                  *a.stack[d - 1], failed.subspan(a.flat_size[d - 1]), failed);
-              a.flat_size[d] = failed.size();
-            }
-            const ScenarioRecord& rec = *a.stack[d];
+            const ScenarioRecord& rec = *a.recorder->descend(failed, depth);
             a.fold(rec, /*loads=*/true);
             a.used.assign(edge_count, 0);
             for (std::size_t e = 0; e < edge_count; ++e) {
@@ -250,10 +236,9 @@ ProvisionedNetwork run_provision(const fibermap::FiberMap& map,
             // diagnostics match the full sweep exactly. The stack is keyed
             // on failed-event depth, not duct count — an SRLG event fails
             // several ducts but is one step down the subset tree.
-            const auto d = static_cast<std::size_t>(depth);
-            a.stack[d] = a.stack[d - 1];
-            a.flat_size[d] = failed.size();
-            a.fold(*a.stack[d], /*loads=*/false);
+            const RecordPtr& parent = a.recorder->stacked(depth - 1);
+            a.fold(*parent, /*loads=*/false);
+            a.recorder->stack(failed, depth, parent);
           };
           return v;
         });
@@ -270,7 +255,7 @@ ProvisionedNetwork run_provision(const fibermap::FiberMap& map,
     scenarios.for_each_parallel(
         workers, [&](int worker) -> graph::ScenarioVisitor {
           return [&, worker](const graph::EdgeMask& mask,
-                             std::span<const EdgeId> failed) {
+                             std::span<const EdgeId> failed, int) {
             ProvisionAccumulator& a = acc[static_cast<std::size_t>(worker)];
             // One Dijkstra per DC covers all pairs.
             for (std::size_t i = 0; i < dcs.size(); ++i) {

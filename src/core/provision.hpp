@@ -28,18 +28,20 @@ struct PlannerParams {
   /// worst-case load on every duct, trading cost for admission risk.
   double oversubscription = 1.0;
 
-  /// Workers for the failure-scenario sweeps in provision() and
-  /// validate_plan(); 0 = hardware_concurrency. Results are bit-identical
-  /// for every thread count.
+  /// Workers for the parallel failure-scenario sweeps in provision() and
+  /// validate_plan() (placement's greedy sweep is always serial);
+  /// 0 = hardware_concurrency. Results are bit-identical for every thread
+  /// count.
   int threads = 0;
 
-  /// Incremental sweep: dominance pruning of scenarios that only fail
-  /// demand-free ducts, and scenario records (core/scenario_record) patched
-  /// from the parent scenario's by re-routing only the pairs that crossed
-  /// the new ducts on warm-started per-DC routing, with hose loads memoized
-  /// per duct. Exact — the plan, including diagnostics, is bit-identical to
-  /// the full from-scratch sweep (`incremental = false`), which stays
-  /// available as an oracle; see planner_oracle_enabled().
+  /// provision()'s sweep mode. true: dominance pruning of scenarios that
+  /// only fail demand-free ducts, and scenario records
+  /// (core/scenario_record) patched from the parent scenario's by
+  /// re-routing only the pairs that crossed the new ducts, with hose loads
+  /// memoized per duct. false: the full from-scratch sweep, kept as the
+  /// oracle (see planner_oracle_enabled()). Exact -- the plan, including
+  /// diagnostics, is bit-identical either way. Only provision() reads this;
+  /// placement and validate_plan() always sweep scenario records.
   bool incremental = true;
 
   /// Ducts already lost (for replans after real cuts): permanently failed in

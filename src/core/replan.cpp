@@ -127,24 +127,16 @@ ProvisionedNetwork IncrementalPlanner::sweep_plan() {
     return best;
   };
 
-  const auto tol = static_cast<std::size_t>(params_.failure_tolerance);
   std::vector<long long> maxima(static_cast<std::size_t>(g.edge_count()), 0);
   long long unreachable = 0;
   long long beyond_sla = 0;
   long long cache_hits = 0;
   long long copies = 0;
   long long computed = 0;
-  std::vector<RecordPtr> stack(tol + 1);
-  // Flattened failed-duct count at each event depth: the tail of `failed`
-  // past the parent's count is exactly what the newest event added (members
-  // an ancestor event already failed are flattened away by the sweep).
-  std::vector<std::size_t> flat_size(tol + 1, 0);
   std::vector<EdgeId> key;
   std::vector<EdgeId> sorted_failed;
-  scenarios.for_each_events([&](const graph::EdgeMask&,
-                                std::span<const EdgeId> failed, int depth) {
-    const auto d = static_cast<std::size_t>(depth);
-    flat_size[d] = failed.size();
+  scenarios.for_each([&](const graph::EdgeMask&, std::span<const EdgeId> failed,
+                         int depth) {
     // Records are keyed by the effective failed-duct *set*: SRLG events
     // flatten in event order, so sort before merging with the live cuts.
     // Two event subsets destroying the same ducts share one record — their
@@ -154,31 +146,32 @@ ProvisionedNetwork IncrementalPlanner::sweep_plan() {
     key.clear();
     std::merge(sorted_failed.begin(), sorted_failed.end(), key_cuts.begin(),
                key_cuts.end(), std::back_inserter(key));
+    const auto it = c.records.find(key);
     RecordPtr rec;
-    if (const auto it = c.records.find(key); it != c.records.end()) {
+    if (it != c.records.end()) {
       rec = it->second;
       ++cache_hits;
     } else {
-      // A single-duct event's parent is one of the K \ {x} candidates. A
-      // multi-duct SRLG event may leave none, so fall back to the parent.
       const SubRecord sub = cached_sub_record(key);
       if (sub.rec && sub.crossing == 0) {
         rec = sub.rec;  // demand-free duct: routing identical to K \ {x}
         ++copies;
-      } else if (sub.rec) {
-        rec = c.recorder.patch(*sub.rec, std::span(&sub.removed, 1), failed);
-        ++computed;
-      } else if (depth > 0) {
-        rec = c.recorder.patch(*stack[d - 1], failed.subspan(flat_size[d - 1]),
-                               failed);
-        ++computed;
       } else {
-        rec = c.recorder.route_all(failed);
         ++computed;
+        if (sub.rec) {
+          rec = c.recorder.patch(*sub.rec, std::span(&sub.removed, 1), failed);
+        }
       }
-      c.records.emplace(key, rec);
     }
-    stack[d] = rec;
+    // A single-duct event's parent is one of the K \ {x} candidates; a
+    // multi-duct SRLG event may leave none cached, so the record is patched
+    // from the depth-first parent (or, at depth 0, routed from scratch).
+    if (rec) {
+      c.recorder.stack(failed, depth, rec);
+    } else {
+      rec = c.recorder.descend(failed, depth);
+    }
+    if (it == c.records.end()) c.records.emplace(key, rec);
     unreachable += rec->unreachable;
     beyond_sla += rec->beyond_sla;
     for (const auto& [e, load] : rec->loads) {
@@ -194,7 +187,7 @@ ProvisionedNetwork IncrementalPlanner::sweep_plan() {
   out.pair_paths_skipped_unreachable = unreachable;
   out.pair_paths_beyond_sla = beyond_sla;
   finish_capacities(out, std::move(maxima));
-  out.baseline_paths = c.recorder.paths_of(*stack[0]);
+  out.baseline_paths = c.recorder.paths_of(*c.recorder.stacked(0));
 
   auto& reg = obs::registry();
   reg.add("planner.replan.cache_hits", cache_hits);

@@ -1,5 +1,6 @@
 #include "fleet/query.hpp"
 
+#include <cmath>
 #include <cstdio>
 
 #include "core/replan.hpp"
@@ -126,13 +127,16 @@ void run_slo_probe(const RegionSnapshot& snap, const WhatIfQuery& q,
   r.oversubscription = rep.oversubscription;
 }
 
-/// Checks that need no planner work: a drill's duct must exist and an SLO
-/// probe must pass the SLO search's own argument rule.
+/// Checks that need no planner work: a drill's duct must exist, a growth
+/// site must have a finite position (its attach ducts' lengths derive from
+/// it) and an SLO probe must pass the SLO search's own argument rule.
 bool query_is_valid(const RegionSnapshot& snap, const WhatIfQuery& q) {
   switch (q.kind) {
     case QueryKind::kFailureDrill:
       return q.duct >= 0 && q.duct < snap.map->graph().edge_count();
-    case QueryKind::kGrowth: return true;
+    case QueryKind::kGrowth:
+      return std::isfinite(q.growth.position.x) &&
+             std::isfinite(q.growth.position.y);
     case QueryKind::kSloProbe: {
       const SloProbeInputs in = slo_probe_inputs(snap, q);
       return core::slo_argument_error(in.params, in.cost) == nullptr;

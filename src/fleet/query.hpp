@@ -17,7 +17,9 @@
 //    rejected kInvalidQuery before any planner work.
 //  * kGrowth -- site a new DC (core/expansion): expand_region's siting-SLA
 //    reach check, then one provision() of the expanded map for the fiber
-//    delta. No plan of the current region and no expansion replan.
+//    delta. No plan of the current region and no expansion replan. A
+//    candidate with a non-finite position is rejected kInvalidQuery before
+//    any planner work.
 //  * kSloProbe -- availability-SLO provisioning (core/slo) with cost
 //    co-optimization against a deterministic correlated failure model
 //    (slo_probe_model), searched over that model's recorded failure
@@ -78,7 +80,8 @@ struct WhatIfQuery {
   // rejected kInvalidQuery.
   graph::EdgeId duct = 0;
 
-  // kGrowth: the candidate DC.
+  // kGrowth: the candidate DC; a non-finite position is rejected
+  // kInvalidQuery.
   core::ExpansionRequest growth;
 
   // kSloProbe: outside core::slo_argument_error's rule (e.g. a NaN SLO or

@@ -1,5 +1,7 @@
 #include "graph/graph.hpp"
 
+#include <cmath>
+
 namespace iris::graph {
 
 EdgeId Graph::add_edge(NodeId u, NodeId v, double length_km) {
@@ -9,8 +11,10 @@ EdgeId Graph::add_edge(NodeId u, NodeId v, double length_km) {
   if (u == v) {
     throw std::invalid_argument("Graph::add_edge: self-loops not allowed");
   }
-  if (length_km <= 0.0) {
-    throw std::invalid_argument("Graph::add_edge: length must be positive");
+  // Written so NaN fails too: every comparison with NaN is false.
+  if (!(length_km > 0.0) || !std::isfinite(length_km)) {
+    throw std::invalid_argument(
+        "Graph::add_edge: length must be positive and finite");
   }
   const EdgeId id = static_cast<EdgeId>(edges_.size());
   edges_.push_back(Edge{u, v, length_km});

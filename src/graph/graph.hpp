@@ -43,7 +43,8 @@ class Graph {
     return static_cast<NodeId>(adjacency_.size() - 1);
   }
 
-  /// Adds an undirected edge of the given length; returns its id.
+  /// Adds an undirected edge of the given length; returns its id. Throws
+  /// std::invalid_argument unless the length is positive and finite.
   EdgeId add_edge(NodeId u, NodeId v, double length_km);
 
   [[nodiscard]] NodeId node_count() const noexcept {

@@ -180,14 +180,4 @@ PrefixRouter::PrefixRouter(const Graph& g, std::span<const NodeId> sources,
   }
 }
 
-void PrefixRouter::sync(std::span<const EdgeId> failed) {
-  for (PrefixDijkstra& d : per_source_) (void)d.route(failed);
-}
-
-long long PrefixRouter::nodes_recomputed() const {
-  long long total = 0;
-  for (const PrefixDijkstra& d : per_source_) total += d.nodes_recomputed();
-  return total;
-}
-
 }  // namespace iris::graph

@@ -77,33 +77,18 @@ class PrefixDijkstra {
   long long nodes_recomputed_ = 0;
 };
 
-/// One PrefixDijkstra per source (the planner keeps one per DC), synced in
-/// lockstep to the sweep's current failure scenario.
+/// One PrefixDijkstra per source (the planner's recorders keep one per DC).
+/// Each source keeps its own prefix stack, so a sweep that needs only a few
+/// trees per scenario routes only those sources.
 class PrefixRouter {
  public:
-  PrefixRouter() = default;
   PrefixRouter(const Graph& g, std::span<const NodeId> sources,
                const EdgeMask& base_mask);
 
-  /// Routes every source against base mask + `failed`.
-  void sync(std::span<const EdgeId> failed);
-
-  /// Routes source `i` alone against base mask + `failed` and returns its
-  /// tree. Sources routed this way keep their own prefix stacks, so a sweep
-  /// that needs only a few trees per scenario skips the rest.
+  /// Routes source `i` against base mask + `failed` and returns its tree.
   const ShortestPathTree& route(std::size_t i, std::span<const EdgeId> failed) {
     return per_source_[i].route(failed);
   }
-
-  [[nodiscard]] std::size_t source_count() const noexcept {
-    return per_source_.size();
-  }
-  [[nodiscard]] const ShortestPathTree& tree(std::size_t i) const {
-    return per_source_[i].tree();
-  }
-
-  /// Sum of nodes re-relaxed across sources since construction.
-  [[nodiscard]] long long nodes_recomputed() const;
 
  private:
   std::vector<PrefixDijkstra> per_source_;

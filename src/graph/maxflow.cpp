@@ -6,10 +6,16 @@
 
 namespace iris::graph {
 
-MaxFlow::MaxFlow(int node_count) : adj_(node_count) {
+MaxFlow::MaxFlow(int node_count) { reset(node_count); }
+
+void MaxFlow::reset(int node_count) {
   if (node_count <= 0) {
     throw std::invalid_argument("MaxFlow: node_count must be positive");
   }
+  for (std::vector<Arc>& arcs : adj_) arcs.clear();
+  adj_.resize(static_cast<std::size_t>(node_count));
+  edge_refs_.clear();
+  orig_cap_.clear();
 }
 
 int MaxFlow::add_edge(int from, int to, Capacity cap) {

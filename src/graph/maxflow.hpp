@@ -18,6 +18,10 @@ class MaxFlow {
  public:
   explicit MaxFlow(int node_count);
 
+  /// Empties the network to `node_count` nodes and no edges, keeping its
+  /// buffers, so one object solves many small networks without allocating.
+  void reset(int node_count);
+
   /// Adds a directed edge with the given capacity; returns its index
   /// (usable with `flow_on` after solving).
   int add_edge(int from, int to, Capacity cap);

@@ -643,6 +643,47 @@ TEST(FleetQuery, InvalidSloProbeIsRejected) {
   }
 }
 
+// A growth candidate at a non-finite position would plant attach ducts of
+// NaN or infinite length; it is answered kInvalidQuery before any planner
+// work, alone or inside a batch.
+TEST(FleetQuery, NonFiniteGrowthPositionIsRejected) {
+  const auto params = small_fleet(1, 8);
+  fleet::Fleet fleet(params);
+  fleet.start();
+  fleet.join();
+  const auto snap = fleet.snapshot(0);
+  ASSERT_NE(snap, nullptr);
+
+  fleet::WhatIfQuery growth;
+  growth.kind = fleet::QueryKind::kGrowth;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<fleet::WhatIfQuery> bad(4, growth);
+  bad[0].growth.position = {nan, 1.0};
+  bad[1].growth.position = {1.0, nan};
+  bad[2].growth.position = {inf, 1.0};
+  bad[3].growth.position = {1.0, -inf};
+  for (std::size_t i = 0; i < bad.size(); ++i) {
+    const auto direct = fleet::run_query(*snap, bad[i]);
+    EXPECT_EQ(direct.status, fleet::QueryStatus::kInvalidQuery) << "i=" << i;
+    EXPECT_FALSE(direct.feasible);
+  }
+
+  fleet::WhatIfEngine engine(2);
+  fleet::WhatIfEngine::Job valid;
+  valid.snapshot = snap;
+  valid.query = growth;
+  fleet::WhatIfEngine::Job invalid = valid;
+  invalid.query = bad[0];
+  const auto results = engine.run_batch({valid, invalid, valid});
+  ASSERT_EQ(results.size(), 3u);
+  EXPECT_EQ(results[0].status, fleet::QueryStatus::kOk);
+  EXPECT_EQ(results[1].status, fleet::QueryStatus::kInvalidQuery);
+  EXPECT_EQ(results[2].status, fleet::QueryStatus::kOk);
+  EXPECT_EQ(results[0].fingerprint(), results[2].fingerprint());
+  EXPECT_EQ(engine.rejected_invalid(), 1);
+}
+
 // A query that throws inside a worker thread surfaces as an exception from
 // run_batch on the calling thread, after every worker joined.
 TEST(FleetQuery, WorkerExceptionRethrownAfterJoin) {

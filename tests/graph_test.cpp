@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <limits>
 #include <map>
 #include <random>
 #include <set>
@@ -44,6 +45,17 @@ TEST(Graph, RejectsBadEdges) {
   EXPECT_THROW(g.add_edge(0, 5, 1.0), std::out_of_range);
   EXPECT_THROW(g.add_edge(0, 1, 0.0), std::invalid_argument);  // zero length
   EXPECT_THROW(g.add_edge(0, 1, -3.0), std::invalid_argument);
+}
+
+TEST(Graph, RejectsNonFiniteLengths) {
+  Graph g(2);
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    EXPECT_THROW(g.add_edge(0, 1, bad), std::invalid_argument) << bad;
+  }
+  EXPECT_EQ(g.edge_count(), 0);
+  EXPECT_EQ(g.add_edge(0, 1, std::numeric_limits<double>::max()), 0);
 }
 
 TEST(Graph, SupportsParallelEdges) {
@@ -269,10 +281,27 @@ TEST(MaxFlow, SetCapacityMatchesFreshNetwork) {
   EXPECT_THROW(f.set_capacity(e + 1, 1), std::out_of_range);
 }
 
+/// Every scenario `set` visits, as failed-duct lists in visit order.
+std::vector<std::vector<EdgeId>> visited_scenarios(const ScenarioSet& set) {
+  std::vector<std::vector<EdgeId>> out;
+  set.for_each([&](const EdgeMask&, std::span<const EdgeId> failed, int) {
+    out.emplace_back(failed.begin(), failed.end());
+  });
+  return out;
+}
+
+std::vector<EdgeId> first_edges(EdgeId n) {
+  std::vector<EdgeId> edges(static_cast<std::size_t>(n));
+  for (EdgeId e = 0; e < n; ++e) edges[static_cast<std::size_t>(e)] = e;
+  return edges;
+}
+
 TEST(Failures, EnumerationCountsMatchBinomials) {
   // C(5,0) + C(5,1) + C(5,2) = 1 + 5 + 10 = 16.
-  const auto scenarios = enumerate_failure_scenarios(5, 2);
+  const ScenarioSet set(5, first_edges(5), 2);
+  const auto scenarios = visited_scenarios(set);
   EXPECT_EQ(scenarios.size(), 16u);
+  EXPECT_EQ(set.scenario_count(), 16);
   EXPECT_EQ(failure_scenario_count(5, 2), 16);
   EXPECT_TRUE(scenarios.front().empty());  // no-failure scenario first
   // All subsets distinct.
@@ -283,19 +312,20 @@ TEST(Failures, EnumerationCountsMatchBinomials) {
   }
 }
 
-TEST(Failures, EmitsEachSizeOnceInSizeOrder) {
-  // One exact-size pass per k (no filtered re-enumeration): sizes appear in
-  // nondecreasing order with exactly C(6, k) subsets of each size.
-  const auto scenarios = enumerate_failure_scenarios(6, 3);
-  ASSERT_EQ(scenarios.size(), 1u + 6u + 15u + 20u);
-  std::size_t prev_size = 0;
+TEST(Failures, EmitsEachSubsetOnce) {
+  // Exactly C(6, k) subsets of each size k <= 3, each once, each ascending,
+  // and each visited at depth k.
+  const ScenarioSet set(6, first_edges(6), 3);
+  std::set<std::vector<EdgeId>> seen;
   std::map<std::size_t, int> per_size;
-  for (const auto& s : scenarios) {
-    EXPECT_GE(s.size(), prev_size);
+  set.for_each([&](const EdgeMask&, std::span<const EdgeId> failed, int depth) {
+    const std::vector<EdgeId> s(failed.begin(), failed.end());
     EXPECT_TRUE(std::is_sorted(s.begin(), s.end()));
-    prev_size = s.size();
+    EXPECT_EQ(static_cast<std::size_t>(depth), s.size());
+    EXPECT_TRUE(seen.insert(s).second);
     ++per_size[s.size()];
-  }
+  });
+  ASSERT_EQ(seen.size(), 1u + 6u + 15u + 20u);
   EXPECT_EQ(per_size[0], 1);
   EXPECT_EQ(per_size[1], 6);
   EXPECT_EQ(per_size[2], 15);
@@ -303,24 +333,22 @@ TEST(Failures, EmitsEachSizeOnceInSizeOrder) {
 }
 
 TEST(Failures, ToleranceZeroIsJustBaseline) {
-  const auto scenarios = enumerate_failure_scenarios(10, 0);
+  const auto scenarios = visited_scenarios(ScenarioSet(10, first_edges(10), 0));
   ASSERT_EQ(scenarios.size(), 1u);
   EXPECT_TRUE(scenarios[0].empty());
 }
 
 TEST(Failures, ForEachVisitsSameCount) {
   const Graph g = line_graph(6);  // 5 edges
-  int visits = 0;
-  for_each_failure_scenario(g, 2, [&](const EdgeMask&, std::span<const EdgeId>) {
-    ++visits;
-  });
-  EXPECT_EQ(visits, failure_scenario_count(g.edge_count(), 2));
+  EXPECT_EQ(static_cast<long long>(
+                visited_scenarios(ScenarioSet::all_edges(g, 2)).size()),
+            failure_scenario_count(g.edge_count(), 2));
 }
 
 TEST(Failures, MaskMatchesReportedSubset) {
   const Graph g = line_graph(4);  // 3 edges
-  for_each_failure_scenario(
-      g, 2, [&](const EdgeMask& mask, std::span<const EdgeId> failed) {
+  ScenarioSet::all_edges(g, 2).for_each(
+      [&](const EdgeMask& mask, std::span<const EdgeId> failed, int) {
         for (EdgeId e = 0; e < g.edge_count(); ++e) {
           const bool in_subset =
               std::find(failed.begin(), failed.end(), e) != failed.end();

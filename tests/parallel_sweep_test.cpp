@@ -43,7 +43,8 @@ TEST(ScenarioSet, CountMatchesSerialVisits) {
   for (int tol = 0; tol <= 2; ++tol) {
     const auto set = core::planner_scenarios(map, planner_params(tol, 1));
     long long visits = 0;
-    set.for_each([&](const EdgeMask&, std::span<const EdgeId>) { ++visits; });
+    set.for_each(
+        [&](const EdgeMask&, std::span<const EdgeId>, int) { ++visits; });
     EXPECT_EQ(visits, set.scenario_count());
   }
 }
@@ -59,7 +60,7 @@ TEST(ScenarioSet, ParallelVisitsExactlyTheSerialScenarios) {
       2);
 
   std::set<std::vector<EdgeId>> serial;
-  set.for_each([&](const EdgeMask&, std::span<const EdgeId> failed) {
+  set.for_each([&](const EdgeMask&, std::span<const EdgeId> failed, int) {
     EXPECT_TRUE(serial.emplace(failed.begin(), failed.end()).second);
   });
 
@@ -67,7 +68,7 @@ TEST(ScenarioSet, ParallelVisitsExactlyTheSerialScenarios) {
     std::set<std::vector<EdgeId>> parallel;
     std::mutex mu;
     set.for_each_parallel(threads, [&](int) -> graph::ScenarioVisitor {
-      return [&](const EdgeMask& mask, std::span<const EdgeId> failed) {
+      return [&](const EdgeMask& mask, std::span<const EdgeId> failed, int) {
         for (EdgeId e : failed) EXPECT_TRUE(mask.failed(e));
         const std::lock_guard<std::mutex> lock(mu);
         EXPECT_TRUE(parallel.emplace(failed.begin(), failed.end()).second);
@@ -86,7 +87,7 @@ TEST(ScenarioSet, ParallelRethrowsVisitorExceptions) {
       set.for_each_parallel(2,
                             [&](int) -> graph::ScenarioVisitor {
                               return [](const EdgeMask&,
-                                        std::span<const EdgeId>) {
+                                        std::span<const EdgeId>, int) {
                                 throw std::runtime_error("boom");
                               };
                             }),

@@ -191,8 +191,8 @@ TEST(ScenarioSetEvents, GroupEventsFailMembersAtomically) {
   EXPECT_EQ(set.eligible_edges(), (std::vector<EdgeId>{0, 1, 2}));
 
   std::vector<std::pair<std::vector<EdgeId>, int>> seen;
-  set.for_each_events([&](const graph::EdgeMask& mask,
-                          std::span<const EdgeId> failed, int depth) {
+  set.for_each([&](const graph::EdgeMask& mask, std::span<const EdgeId> failed,
+                   int depth) {
     for (EdgeId e : failed) EXPECT_TRUE(mask.failed(e));
     seen.emplace_back(std::vector<EdgeId>(failed.begin(), failed.end()), depth);
   });
@@ -211,10 +211,10 @@ TEST(ScenarioSetEvents, SingletonEventsMatchClassicSweep) {
   const graph::ScenarioSet events(4, singleton_events, 2);
 
   std::vector<std::vector<EdgeId>> a, b;
-  classic.for_each([&](const graph::EdgeMask&, std::span<const EdgeId> f) {
+  classic.for_each([&](const graph::EdgeMask&, std::span<const EdgeId> f, int) {
     a.emplace_back(f.begin(), f.end());
   });
-  events.for_each([&](const graph::EdgeMask&, std::span<const EdgeId> f) {
+  events.for_each([&](const graph::EdgeMask&, std::span<const EdgeId> f, int) {
     b.emplace_back(f.begin(), f.end());
   });
   EXPECT_EQ(a, b);
@@ -261,7 +261,7 @@ TEST(SrlgPlanning, PlanSurvivesEveryEnumeratedGroupEvent) {
   const auto scenarios = core::planner_scenarios(map, params);
   bool saw_group_event = false;
   scenarios.for_each([&](const graph::EdgeMask& mask,
-                         std::span<const EdgeId> failed) {
+                         std::span<const EdgeId> failed, int) {
     if (failed.size() > 1) saw_group_event = true;
     graph::EdgeMask m = mask;
     for (EdgeId e = 0; e < map.graph().edge_count(); ++e) {
