@@ -403,7 +403,6 @@ int main(int argc, char** argv) {
         recovered_reissued += rr.reissued_establishes;
         orphans_adopted += rr.orphan_connects_adopted;
         check(rr.audit.clean(), "post-recovery audit", t);
-      check(rr.adopted_circuits >= 0, "post-recovery adopted count", t);
         check(rr.adopted_circuits >= 0, "post-recovery adopted count", t);
         ++audits;
         devices.fault_injector().arm_crash(crash_every);

@@ -48,19 +48,20 @@ std::vector<graph::NodeId> hub_pair(const fibermap::FiberMap& map, bool close) {
 }
 
 /// The stressed default model the table has always used: duct-cut rate well
-/// above folklore, a regional catastrophe every ~5 years.
-reliability::FailureModel table_model() {
-  reliability::FailureModel model;
-  model.cuts_per_km_year = 0.02;
-  model.disasters_per_year = 0.2;
-  model.disaster_radius_km = 10.0;
-  model.disaster_repair_days = 30.0;
-  model.mean_repair_hours = 12.0;
-  model.horizon_years = 400.0;
+/// above folklore, a regional catastrophe every ~5 years, point estimates.
+reliability::CorrelatedFailureModel table_model() {
+  reliability::CorrelatedFailureModel model;
+  model.base.cuts_per_km_year = 0.02;
+  model.base.disasters_per_year = 0.2;
+  model.base.disaster_radius_km = 10.0;
+  model.base.disaster_repair_days = 30.0;
+  model.base.mean_repair_hours = 12.0;
+  model.base.horizon_years = 400.0;
+  model.ci_batches = 0;
   return model;
 }
 
-void print_table(reliability::FailureModel model) {
+void print_table(reliability::CorrelatedFailureModel model) {
   std::printf("# Worst-pair downtime (min/yr): distributed vs centralized,"
               " hubs close vs far apart\n");
   std::printf("%6s %4s | %12s %14s %14s\n", "seed", "DCs", "distributed",
@@ -76,23 +77,22 @@ void print_table(reliability::FailureModel model) {
       params.capacity_fibers = 8;
       params.dc_attach_huts = 3;
       const auto map = fibermap::generate_region(params);
-      model.seed = seed * 1000 + n;
+      model.base.seed = seed * 1000 + n;
 
-      const auto worst_downtime = [](const reliability::AvailabilityReport& r) {
+      const auto worst_downtime = [&](const reliability::PairUpFn& pair_up) {
         double worst = 0.0;
-        for (const auto& p : r.pairs) {
+        for (const auto& p : reliability::simulate_availability_correlated(
+                                 map, model, pair_up)
+                                 .summary.pairs) {
           worst = std::max(worst, p.downtime_minutes_per_year());
         }
         return worst;
       };
-      const double dist = worst_downtime(reliability::simulate_availability(
-          map, model, reliability::any_path_criterion(map)));
-      const double close = worst_downtime(reliability::simulate_availability(
-          map, model,
-          reliability::via_hub_criterion(map, hub_pair(map, true))));
-      const double far = worst_downtime(reliability::simulate_availability(
-          map, model,
-          reliability::via_hub_criterion(map, hub_pair(map, false))));
+      const double dist = worst_downtime(reliability::any_path_criterion(map));
+      const double close = worst_downtime(
+          reliability::via_hub_criterion(map, hub_pair(map, true)));
+      const double far = worst_downtime(
+          reliability::via_hub_criterion(map, hub_pair(map, false)));
 
       std::printf("%6llu %4d | %12.1f %14.1f %14.1f\n",
                   static_cast<unsigned long long>(seed), n, dist, close, far);
@@ -115,11 +115,12 @@ void BM_AvailabilitySimulation(benchmark::State& state) {
   params.dc_count = 5;
   params.dc_attach_huts = 3;
   const auto map = fibermap::generate_region(params);
-  reliability::FailureModel model;
-  model.cuts_per_km_year = 0.02;
-  model.horizon_years = 50.0;
+  reliability::CorrelatedFailureModel model;
+  model.base.cuts_per_km_year = 0.02;
+  model.base.horizon_years = 50.0;
+  model.ci_batches = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(reliability::simulate_availability(
+    benchmark::DoNotOptimize(reliability::simulate_availability_correlated(
         map, model, reliability::any_path_criterion(map)));
   }
 }
@@ -213,15 +214,16 @@ BENCHMARK(BM_SloProbeWarm)
 }  // namespace
 
 int main(int argc, char** argv) {
-  reliability::FailureModel model = table_model();
+  reliability::CorrelatedFailureModel model = table_model();
+  reliability::FailureModel& base = model.base;
   obs::Args args("bench_reliability_availability");
   const auto non_negative = obs::at_least(0.0);
-  args.option("cut_rate", model.cuts_per_km_year, non_negative)
-      .option("disasters_per_year", model.disasters_per_year, non_negative)
-      .option("disaster_radius_km", model.disaster_radius_km, non_negative)
-      .option("disaster_repair_days", model.disaster_repair_days, non_negative)
-      .option("mean_repair_hours", model.mean_repair_hours, obs::above(0.0))
-      .option("horizon_years", model.horizon_years, obs::above(0.0))
+  args.option("cut_rate", base.cuts_per_km_year, non_negative)
+      .option("disasters_per_year", base.disasters_per_year, non_negative)
+      .option("disaster_radius_km", base.disaster_radius_km, non_negative)
+      .option("disaster_repair_days", base.disaster_repair_days, non_negative)
+      .option("mean_repair_hours", base.mean_repair_hours, obs::above(0.0))
+      .option("horizon_years", base.horizon_years, obs::above(0.0))
       .metrics()
       .benchmark_flags();
   if (const int rc = args.parse(argc, argv)) return rc;

@@ -9,7 +9,7 @@
 
 #include "fibermap/generator.hpp"
 #include "obs/argparse.hpp"
-#include "reliability/availability.hpp"
+#include "reliability/events.hpp"
 
 namespace {
 
@@ -36,14 +36,15 @@ int main(int argc, char** argv) {
   region.dc_attach_huts = 3;
   const auto map = fibermap::generate_region(region);
 
-  reliability::FailureModel model;
-  model.cuts_per_km_year = 0.02;
-  model.mean_repair_hours = 12.0;
-  model.disasters_per_year = 0.2;
-  model.disaster_radius_km = 10.0;
-  model.disaster_repair_days = 30.0;
-  model.horizon_years = years;
-  model.seed = seed;
+  reliability::CorrelatedFailureModel model;
+  model.base.cuts_per_km_year = 0.02;
+  model.base.mean_repair_hours = 12.0;
+  model.base.disasters_per_year = 0.2;
+  model.base.disaster_radius_km = 10.0;
+  model.base.disaster_repair_days = 30.0;
+  model.base.horizon_years = years;
+  model.base.seed = seed;
+  model.ci_batches = 0;
 
   std::printf("=== availability over %.0f simulated years, seed %llu ===\n\n",
               years, static_cast<unsigned long long>(seed));
@@ -59,10 +60,12 @@ int main(int argc, char** argv) {
   });
   huts.resize(2);
 
-  const auto dist = reliability::simulate_availability(
-      map, model, reliability::any_path_criterion(map));
-  const auto cent = reliability::simulate_availability(
-      map, model, reliability::via_hub_criterion(map, huts));
+  const auto dist = reliability::simulate_availability_correlated(
+                        map, model, reliability::any_path_criterion(map))
+                        .summary;
+  const auto cent = reliability::simulate_availability_correlated(
+                        map, model, reliability::via_hub_criterion(map, huts))
+                        .summary;
 
   std::printf("%-14s %14s %14s %10s\n", "design", "worst-avail", "min/yr",
               "nines");

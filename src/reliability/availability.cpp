@@ -181,87 +181,22 @@ void record_run_metrics(const EventTallies& tallies) {
   record("disaster", tallies.disaster_events);
 }
 
-namespace {
-
-/// Integrates a PairUpFn over a recorded timeline with a per-mask verdict
-/// memo. simulate_availability and simulate_availability_correlated both go
-/// through here, so the legacy and correlated models can never drift in how
-/// failures are drawn or downtime is accounted. The criterion is a pure
-/// function of (mask, a, b), so a pair asked again under a failed-duct set
-/// it has already been asked about gets the recorded answer; states that
-/// differ only in down DCs share one mask.
-/// Records `reliability.criterion.evaluations` (criterion calls made) and
-/// `reliability.criterion.memo_hits`: of the asks a per-step walk makes
-/// (every step, every pair with both ends up), those answered without a
-/// criterion call.
-CorrelatedAvailabilityReport integrate_memoized(const FailureTimeline& timeline,
-                                                const PairUpFn& pair_up) {
-  const std::size_t n = timeline.dcs.size();
-  const std::vector<int> mask_of = timeline.project_states(
-      std::vector<bool>(static_cast<std::size_t>(timeline.edge_count), true));
-  const std::size_t masks =
-      mask_of.empty()
-          ? 0
-          : static_cast<std::size_t>(
-                *std::max_element(mask_of.begin(), mask_of.end()) + 1);
-  // verdicts[mask * n^2 + pair] is -1 until that pair is first asked.
-  std::vector<signed char> verdicts(masks * n * n, -1);
-  graph::EdgeMask mask;
-  int mask_state = -1;  // the state `mask` was built from
-  long long evaluations = 0;
-  std::vector<long long> asks(static_cast<std::size_t>(timeline.state_count()));
-  CorrelatedAvailabilityReport out = integrate_timeline(
-      timeline, [&](int state, std::size_t i, std::size_t j) {
-        ++asks[static_cast<std::size_t>(state)];
-        signed char& verdict =
-            verdicts[static_cast<std::size_t>(
-                         mask_of[static_cast<std::size_t>(state)]) *
-                         n * n +
-                     i * n + j];
-        if (verdict < 0) {
-          if (mask_state != state) {
-            mask = timeline.failed_mask(state);
-            mask_state = state;
-          }
-          verdict = pair_up(mask, timeline.dcs[i], timeline.dcs[j]) ? 1 : 0;
-          ++evaluations;
-        }
-        return verdict == 1;
-      });
-  // A per-step walk asks each step's state again; all but the evaluations
-  // come from the memo.
-  long long memo_hits = -evaluations;
-  for (const FailureTimeline::Step& step : timeline.steps) {
-    memo_hits += asks[static_cast<std::size_t>(step.state)];
-  }
-  auto& reg = obs::registry();
-  if (evaluations > 0) {
-    reg.add("reliability.criterion.evaluations", evaluations);
-  }
-  if (memo_hits > 0) reg.add("reliability.criterion.memo_hits", memo_hits);
-  return out;
-}
-
-}  // namespace
-
-AvailabilityReport simulate_availability(const fibermap::FiberMap& map,
-                                         const FailureModel& model,
-                                         const PairUpFn& pair_up) {
-  if (model.horizon_years <= 0.0 || model.cuts_per_km_year < 0.0 ||
-      model.mean_repair_hours <= 0.0) {
-    throw std::invalid_argument("simulate_availability: bad failure model");
-  }
-  CorrelatedFailureModel cm;
-  cm.base = model;
-  cm.ci_batches = 0;  // the legacy entry point reports point estimates only
-  return integrate_memoized(record_timeline(map, cm), pair_up).summary;
-}
-
 CorrelatedAvailabilityReport simulate_availability_correlated(
     const fibermap::FiberMap& map, const CorrelatedFailureModel& model,
     const PairUpFn& pair_up) {
-  CorrelatedAvailabilityReport out =
-      integrate_memoized(record_timeline(map, model), pair_up);
+  const FailureTimeline timeline = record_timeline(map, model);
+  // integrate_timeline asks state by state, so each state's mask is built
+  // once.
+  graph::EdgeMask mask;
+  int mask_state = -1;  // the state `mask` was built from
+  CorrelatedAvailabilityReport out = integrate_timeline(
+      timeline, [&](int state, std::size_t i, std::size_t j) {
+        if (mask_state != state) {
+          mask = timeline.failed_mask(state);
+          mask_state = state;
+        }
+        return pair_up(mask, timeline.dcs[i], timeline.dcs[j]);
+      });
   record_run_metrics(out);
   return out;
 }

@@ -3,11 +3,13 @@
 //
 // The operator's resilience goal is phrased as "tolerate k fiber cuts", but
 // what a customer experiences is availability: the fraction of time every
-// DC pair stays connected. This module simulates duct cuts as Poisson
-// processes (rate proportional to duct length -- backhoes hit long ducts
-// more) with exponential repairs, and integrates per-pair downtime under a
-// pluggable connectivity criterion, so centralized (must transit a hub) and
+// DC pair stays connected. This module holds the failure model (duct cuts
+// as Poisson processes, rate proportional to duct length -- backhoes hit
+// long ducts more -- with exponential repairs), the report types and the
+// pluggable connectivity criteria, so centralized (must transit a hub) and
 // distributed (any surviving path) designs can be compared on equal terms.
+// The simulator, simulate_availability_correlated, is in
+// reliability/events.hpp.
 #pragma once
 
 #include <cstdint>
@@ -42,8 +44,8 @@ struct PairAvailability {
   double availability = 1.0;
 
   /// 95% batch-means confidence interval around `availability`, clamped to
-  /// [0, 1]. Filled by simulate_availability_correlated (reliability/events)
-  /// when the model asks for batches; otherwise both equal `availability`.
+  /// [0, 1]. Filled by simulate_availability_correlated when the model asks
+  /// for batches; otherwise both equal `availability`.
   double ci_low = 1.0;
   double ci_high = 1.0;
 
@@ -64,8 +66,8 @@ struct AvailabilityReport {
 ///
 /// Contract: a criterion must be a pure function of (mask, a, b) -- no
 /// state that changes its answer between calls. The simulator relies on
-/// this: it caches each pair's verdict per distinct failure mask and asks
-/// the criterion only the first time a (mask, a, b) triple comes up.
+/// this: it asks once per recorded failure state and pair, and reuses the
+/// answer at every later step that returns to that state.
 using PairUpFn = std::function<bool(const graph::EdgeMask&, graph::NodeId,
                                     graph::NodeId)>;
 
@@ -78,11 +80,6 @@ PairUpFn any_path_criterion(const fibermap::FiberMap& map);
 /// pair is up only if both DCs can reach a common hub on surviving ducts.
 PairUpFn via_hub_criterion(const fibermap::FiberMap& map,
                            std::vector<graph::NodeId> hubs);
-
-/// Event-driven Monte Carlo over the failure model.
-AvailabilityReport simulate_availability(const fibermap::FiberMap& map,
-                                         const FailureModel& model,
-                                         const PairUpFn& pair_up);
 
 /// Analytic check for a chain of ducts in series (used by tests): the pair
 /// is up only when every duct works, so

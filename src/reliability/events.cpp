@@ -1,5 +1,6 @@
 #include "reliability/events.hpp"
 
+#include <cmath>
 #include <queue>
 #include <random>
 #include <stdexcept>
@@ -15,6 +16,10 @@ using graph::NodeId;
 namespace {
 
 constexpr double kHoursPerYear = 365.25 * 24.0;
+
+// Model checks, written so NaN and infinities fail them.
+bool positive(double v) { return std::isfinite(v) && v > 0.0; }
+bool non_negative(double v) { return std::isfinite(v) && v >= 0.0; }
 
 /// Interns packed bit-set keys to dense ids in order of first appearance.
 class KeyIds {
@@ -77,13 +82,17 @@ struct EventStream::Impl {
   Impl(const fibermap::FiberMap& m, const CorrelatedFailureModel& cm)
       : map(m), model(cm), rng(cm.base.seed) {
     const FailureModel& base = model.base;
-    if (base.horizon_years <= 0.0 || base.cuts_per_km_year < 0.0 ||
-        base.mean_repair_hours <= 0.0 || base.disasters_per_year < 0.0) {
+    if (!positive(base.horizon_years) || !non_negative(base.cuts_per_km_year) ||
+        !positive(base.mean_repair_hours) ||
+        !non_negative(base.disasters_per_year) ||
+        !non_negative(base.disaster_radius_km) ||
+        !non_negative(base.disaster_repair_days)) {
       throw std::invalid_argument("EventStream: bad base failure model");
     }
-    if (model.trench_hits_per_km_year < 0.0 ||
-        model.trench_repair_hours <= 0.0 || model.hut_outages_per_year < 0.0 ||
-        model.hut_repair_hours <= 0.0) {
+    if (!non_negative(model.trench_hits_per_km_year) ||
+        !positive(model.trench_repair_hours) ||
+        !non_negative(model.hut_outages_per_year) ||
+        !positive(model.hut_repair_hours)) {
       throw std::invalid_argument("EventStream: bad group failure model");
     }
     horizon_h = base.horizon_years * kHoursPerYear;
@@ -145,7 +154,8 @@ struct EventStream::Impl {
           static_cast<std::size_t>(win.srlg) >= srlgs.size()) {
         throw std::invalid_argument("EventStream: maintenance on unknown SRLG");
       }
-      if (win.duration_h <= 0.0 || win.start_h < 0.0 || win.period_h < 0.0) {
+      if (!positive(win.duration_h) || !non_negative(win.start_h) ||
+          !non_negative(win.period_h)) {
         throw std::invalid_argument("EventStream: bad maintenance window");
       }
       if (win.start_h < horizon_h) {

@@ -20,10 +20,11 @@
 //    SRLG's ducts down start + k*period for `duration` hours.
 //
 // Determinism: the stream is a pure function of (map, model). With every
-// group rate zero and no maintenance, the draw sequence is exactly the
-// legacy simulate_availability() sequence — ducts pre-drawn in EdgeId
-// order, repairs drawn at failure pop, next arrivals at repair pop — which
-// is what keeps the no-SRLG availability output byte-identical.
+// group rate zero and no maintenance, the draw sequence is the independent
+// per-duct model's — ducts pre-drawn in EdgeId order, repairs drawn at
+// failure pop, next arrivals at repair pop — and group processes only ever
+// extend it, which is what keeps the no-SRLG availability output
+// byte-identical.
 #pragma once
 
 #include <cstdint>
@@ -103,9 +104,11 @@ struct TimelineEvent {
 /// strictly before the model's horizon. The map must outlive the stream.
 class EventStream {
  public:
-  /// Throws std::invalid_argument on a malformed model (non-positive
-  /// horizon or repair means, negative rates, maintenance on an unknown
-  /// SRLG or with non-positive duration).
+  /// Throws std::invalid_argument on a malformed model: a non-finite
+  /// number anywhere, a non-positive horizon or repair mean, a negative
+  /// rate, disaster radius or disaster repair time, or maintenance on an
+  /// unknown SRLG, starting before t=0, with a negative period or with a
+  /// non-positive duration.
   EventStream(const fibermap::FiberMap& map,
               const CorrelatedFailureModel& model);
   EventStream(EventStream&&) noexcept;
@@ -130,9 +133,9 @@ struct EventTallies {
   long long disaster_events = 0;
 };
 
-/// simulate_availability over the correlated model, with per-kind event
-/// tallies alongside the classic summary. Pair entries carry batch-means
-/// confidence intervals when `model.ci_batches >= 2`.
+/// One simulation's result: per-kind event tallies alongside the classic
+/// summary. Pair entries carry batch-means confidence intervals when
+/// `model.ci_batches >= 2`.
 struct CorrelatedAvailabilityReport : EventTallies {
   AvailabilityReport summary;
 };
@@ -221,13 +224,12 @@ CorrelatedAvailabilityReport integrate_timeline(const FailureTimeline& timeline,
 /// every nonzero event kind.
 void record_run_metrics(const EventTallies& tallies);
 
-/// Event-driven Monte Carlo over the correlated failure model: records the
-/// timeline and integrates it, asking `pair_up` each (mask, a, b) at most
-/// once (a per-mask verdict memo). With every group rate zero and no
-/// maintenance this produces byte-identical availabilities to
-/// simulate_availability(map, model.base, pair_up) -- both consume the same
-/// EventStream. Records run metrics (record_run_metrics) plus
-/// `reliability.criterion.evaluations` / `memo_hits`.
+/// Event-driven Monte Carlo over the correlated failure model, the one
+/// availability simulator: records the timeline and integrates it, asking
+/// `pair_up` once per (state, pair) with the state's failed-duct mask
+/// (built once per state). Set `model.ci_batches = 0` for point estimates
+/// only. Records run metrics (record_run_metrics) plus
+/// `reliability.timeline.verdict_asks`.
 CorrelatedAvailabilityReport simulate_availability_correlated(
     const fibermap::FiberMap& map, const CorrelatedFailureModel& model,
     const PairUpFn& pair_up);

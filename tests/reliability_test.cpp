@@ -22,13 +22,20 @@ namespace {
 using graph::EdgeId;
 using graph::NodeId;
 
-FailureModel fast_model(std::uint64_t seed = 1) {
-  FailureModel model;
+/// Point estimates only: no batch-means CIs.
+CorrelatedFailureModel point_model() {
+  CorrelatedFailureModel model;
+  model.ci_batches = 0;
+  return model;
+}
+
+CorrelatedFailureModel fast_model(std::uint64_t seed = 1) {
+  CorrelatedFailureModel model = point_model();
   // Aggressive rates so a short horizon produces plenty of events.
-  model.cuts_per_km_year = 0.5;
-  model.mean_repair_hours = 24.0;
-  model.horizon_years = 300.0;
-  model.seed = seed;
+  model.base.cuts_per_km_year = 0.5;
+  model.base.mean_repair_hours = 24.0;
+  model.base.horizon_years = 300.0;
+  model.base.seed = seed;
   return model;
 }
 
@@ -57,10 +64,11 @@ TEST(Availability, MonteCarloMatchesAnalyticOnAChain) {
 
   const auto model = fast_model(7);
   const auto report =
-      simulate_availability(map, model, any_path_criterion(map));
+      simulate_availability_correlated(map, model, any_path_criterion(map))
+          .summary;
   ASSERT_EQ(report.pairs.size(), 1u);
   EXPECT_GT(report.cut_events, 100);  // enough samples to trust the estimate
-  const double analytic = series_chain_availability({30.0, 30.0}, model);
+  const double analytic = series_chain_availability({30.0, 30.0}, model.base);
   EXPECT_NEAR(report.pairs[0].availability, analytic,
               4.0 * (1.0 - analytic));  // generous CI, deterministic seed
   EXPECT_LT(report.pairs[0].availability, 1.0);
@@ -82,9 +90,11 @@ TEST(Availability, RedundantPathsBeatSinglePath) {
 
   const auto model = fast_model(11);
   const auto chain_report =
-      simulate_availability(chain, model, any_path_criterion(chain));
+      simulate_availability_correlated(chain, model, any_path_criterion(chain))
+          .summary;
   const auto ring_report =
-      simulate_availability(ring, model, any_path_criterion(ring));
+      simulate_availability_correlated(ring, model, any_path_criterion(ring))
+          .summary;
   EXPECT_GT(ring_report.pairs[0].availability,
             chain_report.pairs[0].availability);
 }
@@ -102,9 +112,11 @@ TEST(Availability, HubCriterionIsStricterThanAnyPath) {
 
   const auto model = fast_model(13);
   const auto any_report =
-      simulate_availability(map, model, any_path_criterion(map));
-  const auto hub_report = simulate_availability(
-      map, model, via_hub_criterion(map, {hub}));
+      simulate_availability_correlated(map, model, any_path_criterion(map))
+          .summary;
+  const auto hub_report = simulate_availability_correlated(
+                              map, model, via_hub_criterion(map, {hub}))
+                              .summary;
   EXPECT_GT(any_report.pairs[0].availability,
             hub_report.pairs[0].availability);
 }
@@ -114,20 +126,22 @@ TEST(Availability, ZeroFailureRateIsAlwaysUp) {
   const auto a = map.add_dc("a", {0, 0}, 4);
   const auto b = map.add_dc("b", {10, 0}, 4);
   map.add_duct_with_length(a, b, 15.0);
-  FailureModel model;
-  model.cuts_per_km_year = 0.0;
-  model.horizon_years = 10.0;
+  CorrelatedFailureModel model = point_model();
+  model.base.cuts_per_km_year = 0.0;
+  model.base.horizon_years = 10.0;
   const auto report =
-      simulate_availability(map, model, any_path_criterion(map));
+      simulate_availability_correlated(map, model, any_path_criterion(map))
+          .summary;
   EXPECT_EQ(report.cut_events, 0);
   EXPECT_DOUBLE_EQ(report.pairs[0].availability, 1.0);
 }
 
 TEST(Availability, RejectsBadModels) {
   const auto map = fibermap::toy_example_fig10();
-  FailureModel model;
-  model.horizon_years = -1.0;
-  EXPECT_THROW((void)simulate_availability(map, model, any_path_criterion(map)),
+  CorrelatedFailureModel model = point_model();
+  model.base.horizon_years = -1.0;
+  EXPECT_THROW((void)simulate_availability_correlated(map, model,
+                                                      any_path_criterion(map)),
                std::invalid_argument);
   EXPECT_THROW((void)via_hub_criterion(map, {}), std::invalid_argument);
 }
@@ -140,7 +154,8 @@ TEST(Availability, GeneratedRegionReport) {
   const auto map = fibermap::generate_region(region);
   const auto model = fast_model(17);
   const auto report =
-      simulate_availability(map, model, any_path_criterion(map));
+      simulate_availability_correlated(map, model, any_path_criterion(map))
+          .summary;
   EXPECT_EQ(report.pairs.size(), 10u);
   EXPECT_LE(report.worst_availability, report.mean_availability);
   for (const auto& pa : report.pairs) {
@@ -161,18 +176,20 @@ TEST(Availability, DisasterAtHubsKillsCentralizedNotDistributed) {
   map.add_duct_with_length(hub, b, 25.0);
   map.add_duct_with_length(a, b, 55.0);
 
-  FailureModel model;
-  model.cuts_per_km_year = 0.0;  // isolate the disaster mechanism
-  model.disasters_per_year = 1.0;
-  model.disaster_radius_km = 6.0;  // only the hub neighbourhood
-  model.disaster_repair_days = 30.0;
-  model.horizon_years = 300.0;
-  model.seed = 3;
+  CorrelatedFailureModel model = point_model();
+  model.base.cuts_per_km_year = 0.0;  // isolate the disaster mechanism
+  model.base.disasters_per_year = 1.0;
+  model.base.disaster_radius_km = 6.0;  // only the hub neighbourhood
+  model.base.disaster_repair_days = 30.0;
+  model.base.horizon_years = 300.0;
+  model.base.seed = 3;
 
   const auto dist =
-      simulate_availability(map, model, any_path_criterion(map));
-  const auto cent =
-      simulate_availability(map, model, via_hub_criterion(map, {hub}));
+      simulate_availability_correlated(map, model, any_path_criterion(map))
+          .summary;
+  const auto cent = simulate_availability_correlated(
+                        map, model, via_hub_criterion(map, {hub}))
+                        .summary;
   ASSERT_EQ(dist.pairs.size(), 1u);
   // Disasters never take a whole pair down in the distributed design...
   EXPECT_GT(dist.pairs[0].availability, 0.999);
@@ -189,14 +206,15 @@ TEST(Availability, EndpointDestructionDoesNotCountAsNetworkDowntime) {
   map.add_duct_with_length(a, b, 60.0);
   map.add_hut("decoy", {0, 100});  // stretches the region box northward
 
-  FailureModel model;
-  model.cuts_per_km_year = 0.0;
-  model.disasters_per_year = 2.0;
-  model.disaster_radius_km = 5.0;
-  model.horizon_years = 100.0;
-  model.seed = 5;
+  CorrelatedFailureModel model = point_model();
+  model.base.cuts_per_km_year = 0.0;
+  model.base.disasters_per_year = 2.0;
+  model.base.disaster_radius_km = 5.0;
+  model.base.horizon_years = 100.0;
+  model.base.seed = 5;
   const auto report =
-      simulate_availability(map, model, any_path_criterion(map));
+      simulate_availability_correlated(map, model, any_path_criterion(map))
+          .summary;
   EXPECT_DOUBLE_EQ(report.pairs[0].availability, 1.0);
 }
 
@@ -211,20 +229,21 @@ TEST_P(SeedSweep, EstimatesAreStableAcrossSeeds) {
   map.add_duct_with_length(h, b, 30.0);
   const auto model = fast_model(GetParam());
   const auto report =
-      simulate_availability(map, model, any_path_criterion(map));
-  const double analytic = series_chain_availability({30.0, 30.0}, model);
+      simulate_availability_correlated(map, model, any_path_criterion(map))
+          .summary;
+  const double analytic = series_chain_availability({30.0, 30.0}, model.base);
   EXPECT_NEAR(report.pairs[0].availability, analytic, 6.0 * (1.0 - analytic));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SeedSweep, ::testing::Values(1, 2, 3, 4, 5));
 
 // ---------------------------------------------------------------------------
-// Exactness of the per-mask verdict memo. The correlated run below folds
-// every event kind into the failure mask (duct cuts, a declared trench with
-// a maintenance calendar, inferred hut outages, site-level disasters) with
-// batch-means CIs on; its report doubles were captured from the simulator
-// before it memoized verdicts, so any drift in the downtime accounting
-// shows up as a changed bit.
+// Exactness of the simulator. The correlated run below folds every event
+// kind into the failure mask (duct cuts, a declared trench with a
+// maintenance calendar, inferred hut outages, site-level disasters) with
+// batch-means CIs on; its report doubles were captured from earlier
+// versions of the simulator, so any drift in the downtime accounting shows
+// up as a changed bit.
 
 struct CorrelatedRun {
   fibermap::FiberMap map;
@@ -345,61 +364,6 @@ TEST(Availability, PinnedCorrelatedReportPlannedCapacity) {
          {0x1.fde926c6f203cp-1, 0x1.fd6e434d46766p-1, 0x1.fe640a409d912p-1},
          {0x1.fdfdb25b9971cp-1, 0x1.fd7b34df3198p-1, 0x1.fe802fd8014b8p-1}}},
        0x1.f99002261d3b1p-1, 0x1.fc5b009eb1bfdp-1});
-}
-
-/// Wraps a criterion to count its calls and the (mask, a, b) triples asked
-/// more than once.
-struct CountingCriterion {
-  long long calls = 0;
-  long long repeats = 0;
-  std::set<std::tuple<std::vector<bool>, NodeId, NodeId>> seen;
-
-  PairUpFn wrap(PairUpFn inner, EdgeId edges) {
-    return [this, inner = std::move(inner), edges](const graph::EdgeMask& m,
-                                                   NodeId a, NodeId b) {
-      std::vector<bool> failed(static_cast<std::size_t>(edges));
-      for (EdgeId e = 0; e < edges; ++e) failed[e] = m.failed(e);
-      ++calls;
-      if (!seen.emplace(std::move(failed), a, b).second) ++repeats;
-      return inner(m, a, b);
-    };
-  }
-};
-
-TEST(Availability, MemoAsksEachMaskAndPairOnce) {
-  const auto& run = correlated_run();
-  const EdgeId edges = run.map.graph().edge_count();
-  const std::vector<PairUpFn> criteria{
-      any_path_criterion(run.map),
-      via_hub_criterion(run.map, {run.map.huts()[0], run.map.huts()[1]}),
-      core::planned_capacity_criterion(run.map, run.net, 2)};
-  auto& reg = obs::registry();
-  for (const PairUpFn& inner : criteria) {
-    CountingCriterion counting;
-    const long long evals0 = reg.counter("reliability.criterion.evaluations");
-    const long long hits0 = reg.counter("reliability.criterion.memo_hits");
-    (void)simulate_availability_correlated(run.map, run.model,
-                                           counting.wrap(inner, edges));
-    EXPECT_GT(counting.calls, 0);
-    EXPECT_EQ(counting.repeats, 0);
-    if (!obs::compiled_in()) continue;
-    EXPECT_EQ(reg.counter("reliability.criterion.evaluations") - evals0,
-              counting.calls);
-    // Most asks revisit a mask already seen.
-    EXPECT_GT(reg.counter("reliability.criterion.memo_hits") - hits0,
-              counting.calls);
-  }
-
-  // The legacy entry point runs the same loop, so it reports the same way.
-  CountingCriterion counting;
-  const long long evals0 = reg.counter("reliability.criterion.evaluations");
-  (void)simulate_availability(run.map, run.model.base,
-                              counting.wrap(any_path_criterion(run.map), edges));
-  EXPECT_EQ(counting.repeats, 0);
-  if (obs::compiled_in()) {
-    EXPECT_EQ(reg.counter("reliability.criterion.evaluations") - evals0,
-              counting.calls);
-  }
 }
 
 // The all-pairs class pass must answer exactly what the per-pair criterion

@@ -312,41 +312,12 @@ reliability::FailureModel stressed_model(std::uint64_t seed) {
   return m;
 }
 
-TEST(CorrelatedAvailability, DegenerateModelMatchesLegacyBitForBit) {
-  const auto map = planning_map();
-  const auto model = stressed_model(21);
-  const auto legacy = reliability::simulate_availability(
-      map, model, reliability::any_path_criterion(map));
-
-  reliability::CorrelatedFailureModel cm;
-  cm.base = model;  // group rates default to 0, no maintenance
-  const auto corr = reliability::simulate_availability_correlated(
-      map, cm, reliability::any_path_criterion(map));
-
-  EXPECT_EQ(corr.summary.cut_events, legacy.cut_events);
-  EXPECT_EQ(corr.duct_cut_events, legacy.cut_events);
-  EXPECT_EQ(corr.trench_events + corr.hut_events + corr.maintenance_events, 0);
-  ASSERT_EQ(corr.summary.pairs.size(), legacy.pairs.size());
-  for (std::size_t i = 0; i < legacy.pairs.size(); ++i) {
-    // Bit-for-bit: exact double equality, not EXPECT_NEAR.
-    EXPECT_EQ(corr.summary.pairs[i].availability,
-              legacy.pairs[i].availability);
-    EXPECT_LE(corr.summary.pairs[i].ci_low,
-              corr.summary.pairs[i].availability);
-    EXPECT_GE(corr.summary.pairs[i].ci_high,
-              corr.summary.pairs[i].availability);
-  }
-  EXPECT_EQ(corr.summary.worst_availability, legacy.worst_availability);
-  EXPECT_EQ(corr.summary.mean_availability, legacy.mean_availability);
-}
-
 TEST(CorrelatedAvailability, SingletonTrenchGroupsReproduceDuctCuts) {
   // Turn every per-duct cut process into a singleton trench group with the
   // same rate and repair: the draw sequence -- ducts in EdgeId order, repair
   // at failure, next arrival at repair -- must replay bit-for-bit.
   const auto plain = planning_map();
   auto grouped = planning_map();
-  const auto model = stressed_model(33);
   for (EdgeId e = 0; e < grouped.graph().edge_count(); ++e) {
     Srlg s;
     s.name = "duct" + std::to_string(e);
@@ -355,25 +326,26 @@ TEST(CorrelatedAvailability, SingletonTrenchGroupsReproduceDuctCuts) {
     s.shared_km = grouped.duct_length_km(e);
     grouped.add_srlg(s);
   }
-  const auto legacy = reliability::simulate_availability(
-      plain, model, reliability::any_path_criterion(plain));
+  reliability::CorrelatedFailureModel per_duct;
+  per_duct.base = stressed_model(33);
+  per_duct.ci_batches = 0;
+  const auto cuts = reliability::simulate_availability_correlated(
+                        plain, per_duct, reliability::any_path_criterion(plain))
+                        .summary;
 
-  reliability::CorrelatedFailureModel cm;
-  cm.base = model;
+  reliability::CorrelatedFailureModel cm = per_duct;
   cm.base.cuts_per_km_year = 0.0;  // cuts come from the groups instead
-  cm.trench_hits_per_km_year = model.cuts_per_km_year;
-  cm.trench_repair_hours = model.mean_repair_hours;
-  cm.ci_batches = 0;
+  cm.trench_hits_per_km_year = per_duct.base.cuts_per_km_year;
+  cm.trench_repair_hours = per_duct.base.mean_repair_hours;
   const auto corr = reliability::simulate_availability_correlated(
       grouped, cm, reliability::any_path_criterion(grouped));
 
-  EXPECT_EQ(corr.trench_events, legacy.cut_events);
-  ASSERT_EQ(corr.summary.pairs.size(), legacy.pairs.size());
-  for (std::size_t i = 0; i < legacy.pairs.size(); ++i) {
-    EXPECT_EQ(corr.summary.pairs[i].availability,
-              legacy.pairs[i].availability);
+  EXPECT_EQ(corr.trench_events, cuts.cut_events);
+  ASSERT_EQ(corr.summary.pairs.size(), cuts.pairs.size());
+  for (std::size_t i = 0; i < cuts.pairs.size(); ++i) {
+    EXPECT_EQ(corr.summary.pairs[i].availability, cuts.pairs[i].availability);
   }
-  EXPECT_EQ(corr.summary.worst_availability, legacy.worst_availability);
+  EXPECT_EQ(corr.summary.worst_availability, cuts.worst_availability);
 }
 
 TEST(CorrelatedAvailability, SameSeedIsByteIdentical) {
@@ -430,13 +402,71 @@ TEST(EventStream, MaintenanceCalendarIsDeterministic) {
 }
 
 TEST(EventStream, RejectsBadModels) {
-  const auto map = corridor_map();
+  auto map = corridor_map();
   reliability::CorrelatedFailureModel cm;
   cm.trench_hits_per_km_year = -1.0;
   EXPECT_THROW(reliability::EventStream(map, cm), std::invalid_argument);
   cm = {};
   cm.maintenance.push_back({7, 0.0, 0.0, 4.0});  // unknown SRLG
   EXPECT_THROW(reliability::EventStream(map, cm), std::invalid_argument);
+
+  // A NaN or infinite horizon or a NaN rate would never end the stream, and
+  // a negative repair time would run events backwards: every non-finite or
+  // out-of-range number is rejected up front.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  using Field = double reliability::FailureModel::*;
+  const std::vector<std::pair<Field, double>> bad_base{
+      {&reliability::FailureModel::horizon_years, nan},
+      {&reliability::FailureModel::horizon_years, inf},
+      {&reliability::FailureModel::cuts_per_km_year, nan},
+      {&reliability::FailureModel::cuts_per_km_year, inf},
+      {&reliability::FailureModel::mean_repair_hours, nan},
+      {&reliability::FailureModel::mean_repair_hours, inf},
+      {&reliability::FailureModel::disasters_per_year, nan},
+      {&reliability::FailureModel::disasters_per_year, inf},
+      {&reliability::FailureModel::disaster_radius_km, nan},
+      {&reliability::FailureModel::disaster_radius_km, -1.0},
+      {&reliability::FailureModel::disaster_repair_days, nan},
+      {&reliability::FailureModel::disaster_repair_days, -5.0},
+      {&reliability::FailureModel::disaster_repair_days, inf}};
+  for (const auto& [field, value] : bad_base) {
+    cm = {};
+    cm.base.*field = value;
+    EXPECT_THROW(reliability::EventStream(map, cm), std::invalid_argument)
+        << value;
+  }
+  using GroupField = double reliability::CorrelatedFailureModel::*;
+  for (const GroupField field :
+       {&reliability::CorrelatedFailureModel::trench_hits_per_km_year,
+        &reliability::CorrelatedFailureModel::trench_repair_hours,
+        &reliability::CorrelatedFailureModel::hut_outages_per_year,
+        &reliability::CorrelatedFailureModel::hut_repair_hours}) {
+    for (const double value : {nan, inf}) {
+      cm = {};
+      cm.*field = value;
+      EXPECT_THROW(reliability::EventStream(map, cm), std::invalid_argument)
+          << value;
+    }
+  }
+  const auto id = map.add_srlg({"trench1", SrlgKind::kTrench, {0, 1}, 9.5});
+  const std::vector<reliability::MaintenanceWindow> bad_windows{
+      {id, nan, 100.0, 4.0},  {id, inf, 100.0, 4.0}, {id, -1.0, 100.0, 4.0},
+      {id, 10.0, nan, 4.0},   {id, 10.0, inf, 4.0},  {id, 10.0, -1.0, 4.0},
+      {id, 10.0, 100.0, nan}, {id, 10.0, 100.0, inf}, {id, 10.0, 100.0, 0.0}};
+  for (const reliability::MaintenanceWindow& win : bad_windows) {
+    cm = {};
+    cm.maintenance.push_back(win);
+    EXPECT_THROW(reliability::EventStream(map, cm), std::invalid_argument)
+        << win.start_h << " " << win.period_h << " " << win.duration_h;
+  }
+  // The boundary values stay valid: no disaster spread or repair time, and
+  // a one-shot window at t=0.
+  cm = {};
+  cm.base.disaster_radius_km = 0.0;
+  cm.base.disaster_repair_days = 0.0;
+  cm.maintenance.push_back({id, 0.0, 0.0, 4.0});
+  EXPECT_NO_THROW(reliability::EventStream(map, cm));
 }
 
 TEST(SloProvisioning, RaisesToleranceUntilTargetMet) {
