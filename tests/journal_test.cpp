@@ -7,14 +7,18 @@
 // in-flight apply a crash interrupted.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "control/controller.hpp"
 #include "control/journal.hpp"
 #include "fibermap/generator.hpp"
+#include "run_digest.hpp"
 
 namespace iris::control {
 namespace {
@@ -75,6 +79,136 @@ IntentJournal journal_from_run() {
   controller.apply_traffic_matrix(demand(f.map, 2));
   EXPECT_TRUE(controller.audit_devices());
   return journal;
+}
+
+/// The same steps on a device layer that kills the controller after
+/// `crash_at` device commands (0 = never). A crash raises a successor that
+/// recovers from the journal's text form, and the run goes on. The crash
+/// must land before the first transceiver is tuned, so these journals do
+/// not depend on how a retune assigns transceivers.
+IntentJournal journal_from_crashed_run(CommandPlaneMode mode,
+                                       long long crash_at) {
+  const Fixture& f = fixture();
+  FaultConfig cfg;
+  cfg.crash_after_commands = crash_at;
+  DeviceLayer devices(f.map, f.net, f.plan, cfg);
+  IntentJournal journal;
+  auto controller =
+      std::make_unique<IrisController>(f.map, f.net, f.plan, devices);
+  controller->set_command_plane(mode);
+  controller->attach_journal(&journal);
+  const auto step = [&](const std::function<void()>& fn) {
+    try {
+      fn();
+    } catch (const ControllerCrash&) {
+      for (const auto& [dc, txs] : devices.all_transceivers()) {
+        EXPECT_EQ(devices.tuned_count(dc), 0) << "crash after a tune";
+      }
+      controller.reset();
+      journal = IntentJournal::from_text(journal.to_text());
+      controller =
+          std::make_unique<IrisController>(f.map, f.net, f.plan, devices);
+      controller->set_command_plane(mode);
+      EXPECT_TRUE(controller->recover(journal).audit.clean());
+    }
+  };
+  step([&] { controller->apply_traffic_matrix(demand(f.map, 0)); });
+  step([&] { controller->fail_duct(0); });
+  step([&] { controller->apply_traffic_matrix(demand(f.map, 1)); });
+  step([&] { controller->restore_duct(0); });
+  step([&] { controller->apply_traffic_matrix(demand(f.map, 2)); });
+  EXPECT_TRUE(controller->audit_devices());
+  EXPECT_EQ(devices.fault_injector().crashes_fired(), crash_at > 0 ? 1 : 0);
+  return journal;
+}
+
+// The text codec's bytes, pinned: FNV-1a of to_text() for crash-free and
+// crashed runs on both command planes, and of the text after a load/save
+// round trip. Any codec change that moves a byte moves a digest.
+TEST(JournalText, CodecBytesArePinned) {
+  const std::vector<std::tuple<CommandPlaneMode, long long, std::uint64_t>>
+      pinned = {{CommandPlaneMode::kSerial, 0, 0xcfa6e46640e15831ULL},
+                {CommandPlaneMode::kSerial, 5, 0xfb4dbfa20c8b9f09ULL},
+                {CommandPlaneMode::kAsync, 0, 0x77612751eeaf59bfULL},
+                {CommandPlaneMode::kAsync, 5, 0x0417a3f3dc83e2e5ULL}};
+  for (const auto& [mode, crash_at, digest] : pinned) {
+    SCOPED_TRACE("async=" +
+                 std::to_string(mode == CommandPlaneMode::kAsync) +
+                 " crash_at=" + std::to_string(crash_at));
+    const std::string text = journal_from_crashed_run(mode, crash_at).to_text();
+    RunDigest d;
+    d.fold(text);
+    d.fold(IntentJournal::from_text(text).to_text());
+    EXPECT_EQ(d.value(), digest) << std::hex << "got 0x" << d.value();
+  }
+  RunDigest d;
+  d.fold(journal_from_run().to_text());
+  EXPECT_EQ(d.value(), 0xfebf85b619a5591aULL) << std::hex << "got 0x"
+                                              << d.value();
+}
+
+// What the parser takes as a number: a sign (`+` too), decimal digits and,
+// for a real, a fraction and an exponent. Infinities, NaNs, hex and values
+// out of range are corruption; a number ends where its digits do, so
+// `12abc` leaves `abc` as a trailing token.
+TEST(JournalText, NumberTokensFollowTheStreamRules) {
+  const std::string head = "iris-journal v1\nrecord 2\nteardown_done\n";
+  const auto line = [&](const std::string& fields) {
+    return head + "circuit " + fields + "\n";
+  };
+  const std::string ok_tail = " 1 40 2 0 1 1 0 ";
+  struct Case {
+    std::string text;
+    const char* error;  ///< null: accepted
+  };
+  const std::vector<Case> cases = {
+      {line("0 1" + ok_tail + "12.5"), nullptr},
+      {line("0 +1" + ok_tail + "+12.5"), nullptr},
+      {line("00 1" + ok_tail + "-0"), nullptr},
+      {line("0 1" + ok_tail + ".5"), nullptr},
+      {line("0 1" + ok_tail + "5."), nullptr},
+      {line("0 1" + ok_tail + "1e-400"), nullptr},
+      {line("0 1" + ok_tail + "1E+2"), nullptr},
+      {line("0 1" + ok_tail + "\t12.5\r"), nullptr},
+      {line("0 1" + ok_tail + "inf"), "line 4: expected length_km"},
+      {line("0 1" + ok_tail + "-inf"), "line 4: expected length_km"},
+      {line("0 1" + ok_tail + "nan"), "line 4: expected length_km"},
+      {line("0 1" + ok_tail + "1e400"), "line 4: expected length_km"},
+      {line("0 1" + ok_tail + "-1e400"), "line 4: expected length_km"},
+      {line("0 1" + ok_tail + "1e"), "line 4: expected length_km"},
+      {line("0 1" + ok_tail + "."), "line 4: expected length_km"},
+      {line("0 1" + ok_tail + "0x1p3"), "line 4: trailing tokens starting at 'x1p3'"},
+      {line("0 1" + ok_tail + "12abc"), "line 4: trailing tokens starting at 'abc'"},
+      {line("0 1" + ok_tail + "1.5.2"), "line 4: trailing tokens starting at '.2'"},
+      {line("0 1" + ok_tail), "line 4: expected length_km"},
+      {line("0 ++1" + ok_tail + "1"), "line 4: expected pair.b"},
+      {line("0 +-1" + ok_tail + "1"), "line 4: expected pair.b"},
+      {line("0 - 1" + ok_tail + "1"), "line 4: expected pair.b"},
+      {line("0 0x1" + ok_tail + "1"), "line 4: expected fiber_pairs"},
+      {line("0 99999999999999999999" + ok_tail + "1"), "line 4: expected pair.b"},
+      {line("0 -99999999999999999999" + ok_tail + "1"), "line 4: expected pair.b"},
+      {line("0 1 1 40 99999999999 0 1 1 0 1"), "line 4: bad count for node count"},
+      {line("0 1 1 40 -1 0 1 1 0 1"), "line 4: bad count for node count"},
+      {line("0 1" + ok_tail + "1 7"), "line 4: trailing tokens starting at '7'"},
+      {head + "circuit 0 1" + ok_tail + "1", nullptr},  // torn final line
+      {"iris-journal v1\nrecord +2\nteardown_done\n" + line("0 1" + ok_tail + "1").substr(head.size()), nullptr},
+      {"iris-journal v1\nrecord 2x\n", "line 2: trailing tokens starting at 'x'"},
+      {"iris-journal v1\n\n# note\nrecord 1\nquarantine 0 1\n", "line 5: expected b"},
+      {"iris-journal v1\nrecord 1\nquarantine 0 1 2 3\n", "line 3: trailing tokens starting at '3'"},
+      {"iris-journal v1\nrecord 1\nbogus\n", "line 3: unknown record type 'bogus'"},
+      {"iris-journal v1 x\n", "line 1: trailing tokens starting at 'x'"},
+      {"iris-journal\tv1\r\n", nullptr},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.text);
+    try {
+      (void)IntentJournal::from_text(c.text);
+      EXPECT_EQ(c.error, nullptr) << "accepted";
+    } catch (const std::runtime_error& e) {
+      ASSERT_NE(c.error, nullptr) << e.what();
+      EXPECT_EQ(std::string(e.what()), std::string("journal: ") + c.error);
+    }
+  }
 }
 
 TEST(JournalText, SaveLoadSaveIsByteIdempotent) {
