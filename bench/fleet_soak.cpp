@@ -18,8 +18,10 @@
 // (ISSUE 9): every region runs supervised, its controller dying on a fixed
 // command schedule and recovering from its journal mid-trace. The identity
 // gate then proves recovered traces are bit-identical across fleet sizes
-// and query load, and two more gates demand a clean post-run device audit
-// in every region and at least one recovery fleet-wide.
+// and query load, and more gates demand a clean post-run device audit in
+// every region, at least one recovery fleet-wide, and liveness: every
+// region reconfigures at least once and crashes on fewer than half its
+// ticks.
 //
 // Keys: samples (closed-loop samples per region), queries (what-if queries
 // per batch), query_threads (engine pool size), chaos (scripted duct-chaos
@@ -246,6 +248,24 @@ int main(int argc, char** argv) {
     }
     if (loaded.supervisor().quarantined_regions() > 0) {
       std::fprintf(stderr, "fleet soak FAILED: region quarantined\n");
+      ++failures;
+    }
+    // Liveness: a crash schedule must not livelock a region. Each one
+    // reconfigures at least once and crashes on fewer than half its ticks.
+    bool live = true;
+    for (int r = 0; r < regions; ++r) {
+      const int reconfigs = loaded.shard(r).result().loop.reconfigurations;
+      const long long crashes = loaded.shard(r).slot().crashes();
+      const bool ok = reconfigs > 0 && 2 * crashes < samples;
+      std::printf("region %d liveness %s: %d reconfigurations, %lld crashes "
+                  "in %d ticks\n",
+                  r, ok ? "ok" : "FAILED", reconfigs, crashes, samples);
+      live = live && ok;
+    }
+    if (!live) {
+      std::fprintf(stderr,
+                   "fleet soak FAILED: a region never reconfigured or "
+                   "crashed on half its ticks\n");
       ++failures;
     }
     if (loaded.supervisor().total_recoveries() == 0) {

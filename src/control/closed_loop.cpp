@@ -88,13 +88,9 @@ void run_closed_loop(IrisController& controller, Policy& policy,
       // Escape hatch: active circuits are black-holed on a failed duct.
       // Re-apply the current intent immediately -- circuits_for reroutes
       // around failed ducts -- rather than waiting out policy hysteresis.
-      TrafficMatrix reroute;
-      for (const Circuit& c : controller.active_circuits()) {
-        reroute[c.pair] += c.wavelengths;
-      }
       try {
-        const auto report =
-            controller.apply_traffic_matrix(reroute, params.strategy);
+        const auto report = controller.apply_traffic_matrix(
+            controller.reroute_demand(), params.strategy);
         ++result.escape_hatch_replans;
         reg.add("loop.escape_hatch_replans");
         fold_report(report);

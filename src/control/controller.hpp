@@ -279,6 +279,12 @@ class IrisController {
   /// apply reroutes them. The closed loop treats a nonzero count as an
   /// escape-hatch replan trigger.
   [[nodiscard]] int circuits_on_failed_ducts() const;
+  /// The active circuits' demand, for re-applying it on new routes. Each
+  /// pair is trimmed, in pair order, until no DC asks for more wavelengths
+  /// than its usable transceivers: transceivers quarantined since the last
+  /// apply can leave the active set above that, and admission would refuse
+  /// it for as long as the set stands.
+  [[nodiscard]] TrafficMatrix reroute_demand() const;
 
   /// Full structured audit of every programmed cross-connect, resource
   /// partition and DC wavelength state against the devices.
@@ -417,7 +423,12 @@ class IrisController {
   /// message on definitive failure, nullopt on success.
   std::optional<std::string> try_establish(const Circuit& c, Allocation& alloc,
                                            ReconfigReport& report);
-  void retune_all_dcs(ReconfigReport& report);
+  /// Brings every DC's transceivers to the active circuits' channels with
+  /// the fewest commands: a transceiver already tuned to a still-needed
+  /// channel keeps it, surplus ones go dark, and the lowest idle
+  /// non-quarantined ones are tuned for the rest (a permanent tune failure
+  /// quarantines the unit). Then refreshes each DC's ASE live channels.
+  void retune_dcs(ReconfigReport& report);
   /// Records one issued device command: appends to the trace and, when a
   /// command plane is live (inside a transaction), charges it onto the
   /// plane's virtual clock.

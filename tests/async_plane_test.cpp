@@ -304,9 +304,9 @@ TEST(AsyncPlane, CrashKSweepAcrossScheduleSlots) {
 TEST(AsyncPlane, CrashKSweepBytesArePinned) {
   const Fixture f = make_fixture(7, 8, 12);
   const std::vector<std::pair<long long, std::uint64_t>> pinned = {
-      {0, 0x9b087d5accca1dc1ULL},  {3, 0x2697facd8a784791ULL},
-      {7, 0x0350c46fc25fda71ULL},  {13, 0x8af72bfb7458208dULL},
-      {29, 0x263d4a9cf467ffb9ULL}, {61, 0x69d8995ee49a55d1ULL}};
+      {0, 0x9a83cc8bc2881745ULL},  {3, 0xe64f9ff6817eb2c1ULL},
+      {7, 0xb972c3787b3f4e11ULL},  {13, 0x4dbe726e0c6393a9ULL},
+      {29, 0xc2607c086dda8ee5ULL}, {61, 0x5c3c000f7c23079dULL}};
   for (const auto& [k, digest] : pinned) {
     const std::uint64_t got = run_async_schedule(f, k).digest.value();
     EXPECT_EQ(got, digest) << "crash_after_commands=" << k << std::hex

@@ -8,7 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <memory>
+#include <random>
 #include <string>
 #include <variant>
 #include <vector>
@@ -252,11 +254,11 @@ TEST(CrashRecovery, KSweepConvergesToNoCrashExecution) {
 // pass it. These digests pin the bytes themselves.
 TEST(CrashRecovery, KSweepBytesArePinned) {
   const std::uint64_t ref = run_reference().digest.value();
-  EXPECT_EQ(ref, 0x5c44d1c45da5cfecULL) << std::hex << "got 0x" << ref;
+  EXPECT_EQ(ref, 0x33e9e3742f90177cULL) << std::hex << "got 0x" << ref;
   const std::vector<std::pair<long long, std::uint64_t>> pinned = {
-      {3, 0x36a8f7b07d82402aULL},  {7, 0x6db935b6818b6341ULL},
-      {13, 0xbff3bf4bdf232c69ULL}, {29, 0x5b2ce5b87d2e43cfULL},
-      {61, 0xfee32246cb3f435fULL}};
+      {3, 0xa8fa5e464094ce95ULL},  {7, 0x7b2ffe932eb61ed0ULL},
+      {13, 0x78325eb61704d9a7ULL}, {29, 0xd8399b6a3808f821ULL},
+      {61, 0x1b4448158f7a289cULL}};
   for (const auto& [k, digest] : pinned) {
     const std::uint64_t got = run_with_crashes(k).digest.value();
     EXPECT_EQ(got, digest) << "crash_after_commands=" << k << std::hex
@@ -602,6 +604,158 @@ TEST(CrashRecovery, RecoverRequiresVirginController) {
     IrisController attached(f.map, f.net, f.plan, devices);
     attached.attach_journal(&journal);
     EXPECT_THROW((void)attached.recover(journal), std::logic_error);
+  }
+}
+
+// ---- retune: stable transceiver assignment --------------------------------
+
+/// Per DC, the channel each transceiver carries (-1 = dark).
+std::map<graph::NodeId, std::vector<int>> read_back(const DeviceLayer& d) {
+  std::map<graph::NodeId, std::vector<int>> out;
+  for (const auto& [dc, txs] : d.all_transceivers()) {
+    for (const TunableTransceiver& tx : txs) {
+      out[dc].push_back(tx.wavelength().value_or(-1));
+    }
+  }
+  return out;
+}
+
+/// Per DC and channel, how many transceivers carry it.
+std::map<graph::NodeId, std::map<int, long long>> per_channel(
+    const std::map<graph::NodeId, std::vector<int>>& tuned) {
+  std::map<graph::NodeId, std::map<int, long long>> out;
+  for (const auto& [dc, chans] : tuned) {
+    for (const int ch : chans) {
+      if (ch >= 0) ++out[dc][ch];
+    }
+  }
+  return out;
+}
+
+// Over seeded fault-free applies, a retune issues the fewest tunes: at each
+// DC, sum over channels c of max(0, need_after(c) - tuned_before(c)). A
+// transceiver whose channel is still needed by at least as many wavelengths
+// as carried it keeps that channel and receives no command.
+TEST(ControlRetune, FaultFreeAppliesTuneOnlyWhatIsMissing) {
+  const Fixture& f = fixture();
+  const int lambda = f.net.params.channels.wavelengths_per_fiber;
+  for (const std::uint64_t seed : {1ULL, 2ULL, 3ULL}) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    DeviceLayer devices(f.map, f.net, f.plan);
+    IrisController controller(f.map, f.net, f.plan, devices);
+    std::mt19937_64 rng(seed);
+    int applied = 0;
+    for (int step = 0; step < 30; ++step) {
+      TrafficMatrix tm;
+      const auto& dcs = f.map.dcs();
+      for (std::size_t i = 0; i + 1 < dcs.size(); ++i) {
+        tm[DcPair(dcs[i], dcs[i + 1])] = 1 + static_cast<long long>(rng() % 160);
+      }
+      const auto before = read_back(devices);
+      try {
+        controller.apply_traffic_matrix(tm);
+      } catch (const std::runtime_error&) {
+        EXPECT_EQ(read_back(devices), before);  // refused before any device
+        continue;
+      }
+      ++applied;
+      ASSERT_TRUE(controller.audit_devices());
+      const auto after = read_back(devices);
+
+      // The hardware carries exactly what the active circuits need.
+      std::map<graph::NodeId, std::map<int, long long>> need;
+      for (const Circuit& c : controller.active_circuits()) {
+        for (long long w = 0; w < c.wavelengths; ++w) {
+          ++need[c.pair.a][static_cast<int>(w % lambda)];
+          ++need[c.pair.b][static_cast<int>(w % lambda)];
+        }
+      }
+      EXPECT_EQ(per_channel(after), need);
+
+      const auto had = per_channel(before);
+      std::map<graph::NodeId, long long> tunes;
+      std::map<graph::NodeId, std::set<int>> touched;
+      for (const DeviceCommand& cmd : controller.last_command_trace()) {
+        if (const auto* t = std::get_if<TuneTransceiverCmd>(&cmd)) {
+          ++tunes[t->dc];
+          EXPECT_TRUE(touched[t->dc].insert(t->transceiver).second)
+              << "transceiver tuned twice";
+        }
+      }
+      for (const auto& [dc, chans] : after) {
+        long long minimal = 0;
+        const auto& had_dc = had.count(dc) ? had.at(dc) : std::map<int, long long>{};
+        const auto& need_dc =
+            need.count(dc) ? need.at(dc) : std::map<int, long long>{};
+        for (const auto& [ch, n] : need_dc) {
+          const auto it = had_dc.find(ch);
+          minimal += std::max(0LL, n - (it == had_dc.end() ? 0 : it->second));
+        }
+        EXPECT_EQ(tunes[dc], minimal) << "dc " << dc;
+        for (std::size_t idx = 0; idx < chans.size(); ++idx) {
+          const int ch = before.at(dc)[idx];
+          if (ch < 0) continue;
+          const auto n = need_dc.find(ch);
+          if (n == need_dc.end() || n->second < had_dc.at(ch)) continue;
+          EXPECT_FALSE(touched[dc].contains(static_cast<int>(idx)))
+              << "dc " << dc << " transceiver " << idx;
+          EXPECT_EQ(chans[idx], ch) << "dc " << dc << " transceiver " << idx;
+        }
+      }
+    }
+    EXPECT_GE(applied, 10);
+  }
+}
+
+// A crash inside the retune: the successor's retune diffs against the
+// read-back, so it tunes only what the crashed one had not. The audit is
+// clean, and the state and every DC's live channels equal a crash-free run.
+TEST(ControlRetune, CrashInsideRetuneResumesWhereItStopped) {
+  const Fixture& f = fixture();
+  FaultConfig counting;
+  counting.crash_after_commands = 1'000'000;  // enables command counting only
+  for (const CommandPlaneMode mode :
+       {CommandPlaneMode::kSerial, CommandPlaneMode::kAsync}) {
+    SCOPED_TRACE(mode == CommandPlaneMode::kAsync ? "async" : "serial");
+    DeviceLayer ref_devices(f.map, f.net, f.plan, counting);
+    IrisController ref(f.map, f.net, f.plan, ref_devices);
+    ref.set_command_plane(mode);
+    ref.apply_traffic_matrix(demand(f.map, 0));
+    const long long seen = ref_devices.fault_injector().commands_seen();
+    ref.apply_traffic_matrix(demand(f.map, 2));
+    const long long apply_cmds =
+        ref_devices.fault_injector().commands_seen() - seen;
+    const int tunes = count_commands<TuneTransceiverCmd>(ref.last_command_trace());
+    ASSERT_GE(tunes, 4);
+
+    for (const int done : {0, 1, tunes / 2, tunes - 1}) {
+      SCOPED_TRACE("tunes done before the crash: " + std::to_string(done));
+      DeviceLayer devices(f.map, f.net, f.plan, counting);
+      IntentJournal journal;
+      auto ctl = std::make_unique<IrisController>(f.map, f.net, f.plan, devices);
+      ctl->set_command_plane(mode);
+      ctl->attach_journal(&journal);
+      ctl->apply_traffic_matrix(demand(f.map, 0));
+      // The retune's tunes are the apply's last commands; the crash fires
+      // on tune number done + 1, before it reaches the device.
+      devices.fault_injector().arm_crash(apply_cmds - tunes + done + 1);
+      EXPECT_THROW(ctl->apply_traffic_matrix(demand(f.map, 2)), ControllerCrash);
+
+      ctl.reset();
+      journal = IntentJournal::from_text(journal.to_text());
+      ctl = std::make_unique<IrisController>(f.map, f.net, f.plan, devices);
+      const RecoveryReport rr = ctl->recover(journal);
+      EXPECT_TRUE(rr.had_in_flight);
+      EXPECT_EQ(rr.resumed_outcome, ApplyOutcome::kCommitted);
+      EXPECT_TRUE(rr.audit.clean()) << rr.audit.summary();
+      EXPECT_EQ(count_commands<TuneTransceiverCmd>(ctl->last_command_trace()),
+                tunes - done);
+      EXPECT_EQ(ctl->state_fingerprint(), ref.state_fingerprint());
+      for (const auto& [dc, em] : ref_devices.emulators()) {
+        EXPECT_EQ(devices.emulator(dc).live_channels(), em.live_channels())
+            << "dc " << dc;
+      }
+    }
   }
 }
 

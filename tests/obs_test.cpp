@@ -518,7 +518,7 @@ TEST_F(ObsRegistry, DegradedTimeIsCountedOncePerIntervalAndMirrorsTheGauge) {
   // sum of window lengths is an exact double.
   EXPECT_GT(result.time_degraded_s, 0.0);
   EXPECT_LE(result.time_degraded_s, 240.0);
-  EXPECT_DOUBLE_EQ(result.time_degraded_s, 76.0);
+  EXPECT_DOUBLE_EQ(result.time_degraded_s, 117.0);
   EXPECT_GT(result.escape_hatch_replans, 0);  // the duct failure fired it
   EXPECT_GT(result.rolled_back, 0);           // windows opened...
   EXPECT_GT(result.reconfigurations, 0);      // ...and closed
