@@ -10,14 +10,18 @@
 // IrisController::state_version() moved since the last publish -- a quiet
 // tick costs one small allocation, not a checkpoint rebuild.
 //
-// Lifetime contract: the store retains every snapshot it ever published
-// (the arena below), so a pinned `const RegionSnapshot*` stays valid until
-// the SnapshotStore is destroyed -- not merely until the next publish.
-// That is what lets the publish path be a plain atomic pointer store with
-// no reference counting handshake against concurrent readers (the
-// std::atomic<shared_ptr> alternative serializes readers and writers on an
-// internal lock). Snapshots are small -- a handful of shared_ptrs -- and
-// the heavy payloads behind them are shared, so retention is cheap.
+// Lifetime contract: a `const RegionSnapshot*` obtained from current()
+// stays valid until the SnapshotStore is destroyed -- not merely until the
+// next publish. That is what lets the publish path be a plain atomic
+// pointer store with no reference counting handshake against concurrent
+// readers (the std::atomic<shared_ptr> alternative serializes readers and
+// writers on an internal lock). To keep that promise cheaply, the store
+// retains snapshots only once a reader exists: until the first current()
+// call, publish() frees every superseded snapshot (a fleet nobody queries
+// holds one); from then on it keeps every snapshot it publishes (the arena
+// below). Snapshots are small -- a handful of shared_ptrs -- but each one
+// pins its own copy of the controller books, which is what a run of
+// thousands of unread ticks would otherwise accumulate.
 #pragma once
 
 #include <atomic>
@@ -60,12 +64,24 @@ class SnapshotStore {
   SnapshotStore(const SnapshotStore&) = delete;
   SnapshotStore& operator=(const SnapshotStore&) = delete;
 
-  /// Writer-thread only. The snapshot joins the arena (pinning it for the
-  /// store's lifetime) and becomes the published current().
+  /// Writer-thread only. The snapshot joins the arena and becomes the
+  /// published current(). While no reader has ever pinned a snapshot, the
+  /// superseded ones are freed.
   void publish(std::unique_ptr<const RegionSnapshot> snap) {
     published_tick_.store(snap->tick, std::memory_order_release);
     arena_.push_back(std::move(snap));
-    current_.store(arena_.back().get(), std::memory_order_release);
+    // Dekker-style handshake with current(), whose pin is a seq_cst store
+    // to pinned_ followed by a seq_cst load of current_. All four accesses
+    // are seq_cst, so they fall in one total order. If the load below sees
+    // pinned_ unset, it precedes every reader's pin store in that order,
+    // and so does the current_ store just before it: every reader's later
+    // current_ load returns this snapshot or a newer one, never one of the
+    // superseded snapshots freed here. A reader whose pin comes first makes
+    // this and every later publish see pinned_ set and free nothing.
+    current_.store(arena_.back().get(), std::memory_order_seq_cst);
+    if (!pinned_.load(std::memory_order_seq_cst)) {
+      arena_.erase(arena_.begin(), arena_.end() - 1);
+    }
     published_.fetch_add(1, std::memory_order_release);
     update_age_gauge();
   }
@@ -81,9 +97,12 @@ class SnapshotStore {
   }
 
   /// Pins the latest snapshot; null until the first publish. Valid until
-  /// the store is destroyed. Safe from any thread.
+  /// the store is destroyed. Safe from any thread. The only way to obtain a
+  /// snapshot pointer: the first call switches the store to retaining
+  /// every snapshot (see publish()).
   [[nodiscard]] const RegionSnapshot* current() const {
-    return current_.load(std::memory_order_acquire);
+    pinned_.store(true, std::memory_order_seq_cst);
+    return current_.load(std::memory_order_seq_cst);
   }
 
   [[nodiscard]] long long published() const {
@@ -121,6 +140,8 @@ class SnapshotStore {
   // deque growth never moves existing elements.
   std::deque<std::unique_ptr<const RegionSnapshot>> arena_;
   std::atomic<const RegionSnapshot*> current_{nullptr};
+  /// Set by the first current() call, never cleared.
+  mutable std::atomic<bool> pinned_{false};
   std::atomic<long long> published_{0};
   std::atomic<long long> head_{-1};
   std::atomic<long long> published_tick_{-1};
