@@ -12,6 +12,8 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <stdexcept>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -228,6 +230,13 @@ int main(int argc, char** argv) {
       .benchmark_flags();
   if (const int rc = args.parse(argc, argv)) return rc;
 
-  print_table(model);
+  try {
+    print_table(model);
+  } catch (const std::invalid_argument& e) {
+    // Keys in range can still make a model the event stream refuses, such
+    // as a horizon that expects too many events.
+    std::fprintf(stderr, "bench_reliability_availability: %s\n", e.what());
+    return 2;
+  }
   return bench::run_benchmarks(args);
 }

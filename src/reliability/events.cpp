@@ -16,6 +16,10 @@ using graph::NodeId;
 namespace {
 
 constexpr double kHoursPerYear = 365.25 * 24.0;
+/// Most failure events a model may expect over its horizon. A finite but
+/// huge horizon or rate would otherwise run the stream until memory or time
+/// runs out.
+constexpr double kMaxExpectedEvents = 1e7;
 
 // Model checks, written so NaN and infinities fail them.
 bool positive(double v) { return std::isfinite(v) && v > 0.0; }
@@ -162,6 +166,20 @@ struct EventStream::Impl {
         queue.push(Event{win.start_h, EventKind::kMaintenanceStart,
                          static_cast<int>(w), {}});
       }
+    }
+
+    // Expected failure events: every process's rate over the horizon, and
+    // every maintenance window's starts.
+    double rate_per_hour = base.disasters_per_year / kHoursPerYear;
+    for (const double r : duct_rate_per_hour) rate_per_hour += r;
+    for (const GroupProcess& gp : groups) rate_per_hour += gp.rate_per_hour;
+    double expected = rate_per_hour * horizon_h;
+    for (const MaintenanceWindow& win : model.maintenance) {
+      expected += win.period_h > 0.0 ? horizon_h / win.period_h : 1.0;
+    }
+    if (!(expected <= kMaxExpectedEvents)) {
+      throw std::invalid_argument(
+          "EventStream: model expects more than 1e7 events over its horizon");
     }
   }
 

@@ -460,6 +460,28 @@ TEST(EventStream, RejectsBadModels) {
     EXPECT_THROW(reliability::EventStream(map, cm), std::invalid_argument)
         << win.start_h << " " << win.period_h << " " << win.duration_h;
   }
+  // A finite but huge horizon, rate or window count would run the stream
+  // until memory or time runs out: a model may expect at most 1e7 events.
+  cm = {};
+  cm.base.horizon_years = 1e300;
+  EXPECT_THROW(reliability::EventStream(map, cm), std::invalid_argument);
+  cm = {};
+  cm.base.cuts_per_km_year = 1e300;
+  EXPECT_THROW(reliability::EventStream(map, cm), std::invalid_argument);
+  cm = {};
+  cm.base.disasters_per_year = 1e300;
+  EXPECT_THROW(reliability::EventStream(map, cm), std::invalid_argument);
+  cm = {};
+  cm.trench_hits_per_km_year = 1e300;
+  EXPECT_THROW(reliability::EventStream(map, cm), std::invalid_argument);
+  cm = {};
+  cm.hut_outages_per_year = 1e300;
+  auto with_hut = map;
+  with_hut.add_srlg({"hut1", SrlgKind::kHut, {0, 1}, 0.0, 0});
+  EXPECT_THROW(reliability::EventStream(with_hut, cm), std::invalid_argument);
+  cm = {};
+  cm.maintenance.push_back({id, 0.0, 1e-300, 4.0});
+  EXPECT_THROW(reliability::EventStream(map, cm), std::invalid_argument);
   // The boundary values stay valid: no disaster spread or repair time, and
   // a one-shot window at t=0.
   cm = {};
