@@ -81,7 +81,9 @@ void print_table() {
               "reconfigs", "rejected", "gap(ms)", "spacing(s)");
   for (double hysteresis : {2.0, 10.0, 30.0, 60.0}) {
     for (const bool mbb : {false, true}) {
-      control::IrisController controller(setup.map, setup.net, setup.plan);
+      control::DeviceLayer devices(setup.map, setup.net, setup.plan);
+      control::IrisController controller(setup.map, setup.net, setup.plan,
+                                         devices);
       control::PolicyParams pp;
       pp.hysteresis_s = hysteresis;
       pp.headroom = 1.25;
@@ -105,7 +107,9 @@ void print_table() {
 
 void BM_ClosedLoopStep(benchmark::State& state) {
   const auto setup = make_setup();
-  control::IrisController controller(setup.map, setup.net, setup.plan);
+  control::DeviceLayer devices(setup.map, setup.net, setup.plan);
+  control::IrisController controller(setup.map, setup.net, setup.plan,
+                                     devices);
   control::ReconfigPolicy policy(control::PolicyParams{});
   const auto demand = make_demand(setup.map, 5);
   double t = 0.0;

@@ -484,7 +484,7 @@ int main(int argc, char** argv) {
   std::printf("%-28s %12lld\n", "command timeouts", timeouts);
   std::printf("%-28s %12lld\n", "circuit retries", circuit_retries);
   std::printf("%-28s %12lld\n", "faults injected",
-              controller->fault_injector().faults_injected());
+              devices.fault_injector().faults_injected());
   if (crash_every > 0) {
     std::printf("%-28s %12lld\n", "controller crashes", crashes);
     std::printf("%-28s %12lld\n", "  establishes finished", recovered_finished);

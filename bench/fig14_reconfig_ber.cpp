@@ -81,7 +81,8 @@ void print_table() {
   const auto map = testbed_map();
   const auto net = core::provision(map, bench::eval_params(0, 40));
   const auto plan = core::place_amplifiers_and_cutthroughs(map, net);
-  control::IrisController controller(map, net, plan);
+  control::DeviceLayer devices(map, net, plan);
+  control::IrisController controller(map, net, plan, devices);
 
   const auto& dcs = map.dcs();
   control::TrafficMatrix tm;
@@ -134,7 +135,8 @@ void BM_ReconfigurationApply(benchmark::State& state) {
   const auto plan = core::place_amplifiers_and_cutthroughs(map, net);
   const auto& dcs = map.dcs();
   for (auto _ : state) {
-    control::IrisController controller(map, net, plan);
+    control::DeviceLayer devices(map, net, plan);
+    control::IrisController controller(map, net, plan, devices);
     control::TrafficMatrix tm;
     tm[core::DcPair(dcs[0], dcs[1])] = 2;
     benchmark::DoNotOptimize(controller.apply_traffic_matrix(tm));

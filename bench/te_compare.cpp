@@ -15,7 +15,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
 
 #include "bench_util.hpp"
 #include "control/closed_loop.hpp"
@@ -187,22 +186,21 @@ int main(int argc, char** argv) {
     for (const auto& pair : demand.pairs()) {
       uniform[pair] = std::max<long long>(1, share);
     }
-    control::IrisController controller(map, net, amp_cut);
+    control::DeviceLayer devices(map, net, amp_cut);
+    control::IrisController controller(map, net, amp_cut, devices);
     rows.push_back(
         drive("hose-only", controller, nullptr, uniform, demand, duration_s));
   }
-  for (const auto policy_kind : {control::PolicyStrategy::kEwma,
-                                 control::PolicyStrategy::kDemandAware}) {
+  const auto run_policy = [&](const char* name, control::Policy& policy) {
     auto demand = fresh_demand();
-    control::ClosedLoopParams lp;
-    lp.policy = policy_kind;
-    const auto policy = te::make_policy(lp, da, limits);
-    control::IrisController controller(map, net, amp_cut);
-    const char* name =
-        policy_kind == control::PolicyStrategy::kEwma ? "ewma" : "demand-aware";
-    rows.push_back(
-        drive(name, controller, policy.get(), {}, demand, duration_s));
-  }
+    control::DeviceLayer devices(map, net, amp_cut);
+    control::IrisController controller(map, net, amp_cut, devices);
+    rows.push_back(drive(name, controller, &policy, {}, demand, duration_s));
+  };
+  control::ReconfigPolicy ewma_policy(pp);
+  run_policy("ewma", ewma_policy);
+  te::DemandAwarePolicy demand_aware_policy(limits, da);
+  run_policy("demand-aware", demand_aware_policy);
 
   std::printf("%14s | %7s %9s %9s %9s %10s %10s %9s %11s\n", "scheme",
               "applies", "reconfigs", "rejected", "gap(ms)", "delivered",

@@ -42,7 +42,8 @@ int main() {
   params.failure_tolerance = 1;
   const auto net = core::provision(map, params);
   const auto plan = core::place_amplifiers_and_cutthroughs(map, net);
-  control::IrisController controller(map, net, plan);
+  control::DeviceLayer devices(map, net, plan);
+  control::IrisController controller(map, net, plan, devices);
   const auto& dcs = map.dcs();
 
   // Morning: replication traffic between the two big DCs.

@@ -83,8 +83,7 @@ void run_closed_loop(IrisController& controller, Policy& policy,
     policy.observe(demand(t), t);
     ++result.samples;
     reg.add("loop.samples");
-    if (params.replan_on_failed_ducts &&
-        controller.circuits_on_failed_ducts() > 0) {
+    if (controller.circuits_on_failed_ducts() > 0) {
       // Escape hatch: active circuits are black-holed on a failed duct.
       // Re-apply the current intent immediately -- circuits_for reroutes
       // around failed ducts -- rather than waiting out policy hysteresis.

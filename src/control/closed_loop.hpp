@@ -2,11 +2,14 @@
 // SS5.2's full control loop, run against emulated devices).
 //
 // The caller supplies the demand trajectory (e.g. simflow::TrafficModel
-// mapped onto DC pairs); the loop samples it, lets the ReconfigPolicy decide
-// when the optical layer should move, and applies proposals through the
-// IrisController, accumulating the operational statistics the paper cares
-// about: how often the network reconfigures and how much capacity-gap time
-// that costs.
+// mapped onto DC pairs) and the Policy, built by the caller (the EWMA
+// ReconfigPolicy or te::DemandAwarePolicy). The loop samples the demand, lets
+// the policy decide when the optical layer should move, and applies
+// proposals through the IrisController, accumulating the operational
+// statistics the paper cares about: how often the network reconfigures and
+// how much capacity-gap time that costs. One escape hatch bypasses the
+// policy: when an active circuit is black-holed by a failed duct, the loop
+// replans around the failure at once instead of waiting out hysteresis.
 #pragma once
 
 #include <functional>
@@ -16,23 +19,10 @@
 
 namespace iris::control {
 
-/// Which planning brain drives the loop. The loop itself only sees the
-/// abstract Policy interface; this knob lets configuration surfaces (bench
-/// CLIs, te::make_policy) select the implementation without new plumbing.
-enum class PolicyStrategy {
-  kEwma,         ///< ReconfigPolicy: per-pair EWMA + headroom + hysteresis
-  kDemandAware,  ///< te::DemandAwarePolicy: TM history -> cluster -> robust
-};
-
 struct ClosedLoopParams {
   double duration_s = 60.0;
   double sample_interval_s = 1.0;
   ReconfigStrategy strategy = ReconfigStrategy::kBreakBeforeMake;
-  PolicyStrategy policy = PolicyStrategy::kEwma;
-  /// Escape hatch: when an active circuit is black-holed by a failed duct
-  /// (fail_duct mid-loop), replan immediately around the failure instead of
-  /// waiting for the policy's divergence hysteresis to notice.
-  bool replan_on_failed_ducts = true;
   /// Invoked once per sample, after every controller mutation for that tick
   /// has committed (including escape-hatch reroutes and rejected proposals).
   /// The loop is single-threaded, so the callback observes only committed

@@ -57,26 +57,12 @@ std::string AuditReport::summary() const {
 IrisController::IrisController(const fibermap::FiberMap& map,
                                const core::ProvisionedNetwork& network,
                                const core::AmpCutPlan& amp_cut,
-                               DeviceLatencies latencies, FaultConfig faults)
-    : map_(map),
-      network_(network),
-      amp_cut_(amp_cut),
-      latencies_(latencies),
-      owned_devices_(
-          std::make_unique<DeviceLayer>(map, network, amp_cut, faults)),
-      devices_(owned_devices_.get()) {
-  init_books();
-}
-
-IrisController::IrisController(const fibermap::FiberMap& map,
-                               const core::ProvisionedNetwork& network,
-                               const core::AmpCutPlan& amp_cut,
                                DeviceLayer& devices, DeviceLatencies latencies)
     : map_(map),
       network_(network),
       amp_cut_(amp_cut),
       latencies_(latencies),
-      devices_(&devices) {
+      devices_(devices) {
   init_books();
 }
 
@@ -92,7 +78,7 @@ void IrisController::init_books() {
   }
   for (NodeId dc : map_.dcs()) {
     ledger_[{ResKind::kAddDrop, dc}] =
-        Pool::all_free(devices_->port_map(dc).add_drop_pairs());
+        Pool::all_free(devices_.port_map(dc).add_drop_pairs());
   }
 }
 
@@ -118,8 +104,7 @@ void IrisController::attach_journal(IntentJournal* journal) {
 }
 
 void IrisController::maybe_checkpoint() {
-  if (journal_ != nullptr && checkpoint_every_ > 0 &&
-      applies_completed_ % static_cast<std::uint64_t>(checkpoint_every_) == 0) {
+  if (journal_ != nullptr && applies_completed_ % kCheckpointEvery == 0) {
     jrec(CheckpointRecord{snapshot()});
   }
 }
@@ -191,7 +176,7 @@ CommandResult IrisController::run_with_retry(
   auto& reg = obs::registry();
   reg.add("controller.commands.total");
   reg.add("controller.commands.attempts");
-  const FaultInjector& faults = devices_->fault_injector();
+  const FaultInjector& faults = devices_.fault_injector();
   CommandResult r = attempt();
   if (r.ok() || !faults.enabled()) return r;
   const RetryPolicy& rp = faults.retry();
@@ -213,7 +198,7 @@ CommandResult IrisController::run_with_retry(
 }
 
 ResKey IrisController::res_for_port(NodeId site, int port) const {
-  const auto o = devices_->port_map(site).owner(port);
+  const auto o = devices_.port_map(site).owner(port);
   using Kind = SitePortMap::PortOwner::Kind;
   switch (o.kind) {
     case Kind::kDuctIn:
@@ -231,7 +216,7 @@ ResKey IrisController::res_for_port(NodeId site, int port) const {
 
 std::optional<std::vector<int>> IrisController::take_healthy_amp_units(
     NodeId site, int count, ReconfigReport& report) {
-  FaultInjector& faults = devices_->fault_injector();
+  FaultInjector& faults = devices_.fault_injector();
   Pool& pool = ledger_.at({ResKind::kAmp, site});
   std::vector<int> taken;
   while (std::ssize(taken) < count && !pool.free.empty()) {
@@ -272,7 +257,7 @@ std::vector<IrisController::Connect> IrisController::planned_connects(
     const auto& back_pairs = front_is_a ? alloc.add_drop_b : alloc.add_drop_a;
 
     const NodeId src = nodes.front();
-    const SitePortMap& src_map = devices_->port_map(src);
+    const SitePortMap& src_map = devices_.port_map(src);
     add(src, src_map.add_port(front_pairs[f]),
         src_map.duct_out_port(edges.front(), alloc.fibers_per_hop.front()[f]));
     add(src,
@@ -282,7 +267,7 @@ std::vector<IrisController::Connect> IrisController::planned_connects(
     // Intermediate sites: pass-through, or loopback through an amplifier.
     for (std::size_t h = 1; h + 1 < nodes.size(); ++h) {
       const NodeId site = nodes[h];
-      const SitePortMap& site_map = devices_->port_map(site);
+      const SitePortMap& site_map = devices_.port_map(site);
       const int in_fiber = alloc.fibers_per_hop[h - 1][f];
       const int out_fiber = alloc.fibers_per_hop[h][f];
       const int fwd_in = site_map.duct_in_port(edges[h - 1], in_fiber);
@@ -303,7 +288,7 @@ std::vector<IrisController::Connect> IrisController::planned_connects(
     }
 
     const NodeId dst = nodes.back();
-    const SitePortMap& dst_map = devices_->port_map(dst);
+    const SitePortMap& dst_map = devices_.port_map(dst);
     add(dst, dst_map.add_port(back_pairs[f]),
         dst_map.duct_out_port(edges.back(), alloc.fibers_per_hop.back()[f]));
     add(dst,
@@ -359,7 +344,7 @@ void IrisController::establish(const Circuit& c, Allocation& alloc,
 
   for (const Connect& pc : planned_connects(c, alloc)) {
     const CommandResult r = run_with_retry(report, [&] {
-      return devices_->oss(pc.site).connect(pc.in_port, pc.out_port);
+      return devices_.oss(pc.site).connect(pc.in_port, pc.out_port);
     });
     if (!r.ok()) {
       throw DeviceCommandError{pc.site, pc.in_port, pc.out_port, r.detail};
@@ -383,7 +368,7 @@ void IrisController::unwind_allocation(const Circuit& c, Allocation& alloc,
   // whose ports it pins are quarantined so they are never re-issued.
   for (auto it = alloc.connects.rbegin(); it != alloc.connects.rend(); ++it) {
     const CommandResult r = run_with_retry(report, [&] {
-      return devices_->oss(it->site).disconnect(it->in_port);
+      return devices_.oss(it->site).disconnect(it->in_port);
     });
     if (r.ok()) {
       record_cmd(OssDisconnectCmd{it->site, it->in_port});
@@ -421,7 +406,7 @@ void IrisController::unwind_allocation(const Circuit& c, Allocation& alloc,
 std::optional<std::string> IrisController::try_establish(
     const Circuit& c, Allocation& alloc, ReconfigReport& report) {
   const int max_attempts =
-      devices_->fault_injector().retry().max_circuit_attempts;
+      devices_.fault_injector().retry().max_circuit_attempts;
   std::string last_error;
   for (int attempt = 0; attempt < max_attempts; ++attempt) {
     if (attempt > 0) ++report.circuit_retries;
@@ -464,7 +449,7 @@ void IrisController::retune_dcs(ReconfigReport& report) {
   }
   expected_tuned_.clear();
   std::map<NodeId, std::set<int>> live;
-  for (auto& [dc, txs] : devices_->all_transceivers()) {
+  for (auto& [dc, txs] : devices_.all_transceivers()) {
     std::vector<long long>& deficit = need[dc];
     deficit.resize(static_cast<std::size_t>(lambda), 0);
     const auto quarantined = [&, dc = dc](int idx) {
@@ -519,10 +504,10 @@ void IrisController::retune_dcs(ReconfigReport& report) {
     }
     if (tuned > 0) expected_tuned_[dc] = tuned;
   }
-  if (!devices_->fault_injector().enabled() && report.wavelengths_untuned > 0) {
+  if (!devices_.fault_injector().enabled() && report.wavelengths_untuned > 0) {
     throw std::logic_error("transceiver pool exhausted despite admission");
   }
-  for (auto& [dc, emulator] : devices_->emulators()) {
+  for (auto& [dc, emulator] : devices_.emulators()) {
     emulator.set_live_channels(live.contains(dc) ? live.at(dc)
                                                  : std::set<int>{});
     record_cmd(
@@ -575,7 +560,7 @@ struct IrisController::Transaction {
   ~Transaction() {
     ctl.plane_ = nullptr;
     ctl.current_slot_ = -1;
-    ctl.devices_->fault_injector().set_schedule_slot(-1);
+    ctl.devices_.fault_injector().set_schedule_slot(-1);
   }
   Transaction(const Transaction&) = delete;  // the live plane_ points here
 
@@ -693,7 +678,7 @@ struct IrisController::Transaction {
       unwind(op, {});
       ++rr->completed_teardowns;
     }
-    FaultInjector& faults = ctl.devices_->fault_injector();
+    FaultInjector& faults = ctl.devices_.fault_injector();
     for (const std::size_t oi : plane.order()) {
       Op& op = ops[oi];
       if (op.state == State::kDone) continue;
@@ -820,7 +805,7 @@ struct IrisController::Transaction {
           culprits.insert(ctl.res_for_port(k.site, k.out_port));
           return true;
         }
-        const auto out = ctl.devices_->oss(k.site).output_for(k.in_port);
+        const auto out = ctl.devices_.oss(k.site).output_for(k.in_port);
         return !out || *out != k.out_port;
       });
     }
@@ -1054,7 +1039,7 @@ AuditReport IrisController::audit_report() const {
       static_cast<std::size_t>(g.node_count()), 0);
   const auto check_connect = [&](const Connect& c, const char* what) {
     ++expected_connects[c.site];
-    const auto out = devices_->oss(c.site).output_for(c.in_port);
+    const auto out = devices_.oss(c.site).output_for(c.in_port);
     if (!out) {
       ++rep.missing_connects;
       note(Kind::kMissingConnect, c.site, c.in_port, graph::kInvalidEdge,
@@ -1077,7 +1062,7 @@ AuditReport IrisController::audit_report() const {
 
   // 2. No leaked cross-connects: per-site counts match exactly.
   for (NodeId n = 0; n < g.node_count(); ++n) {
-    const int on_device = devices_->oss(n).connection_count();
+    const int on_device = devices_.oss(n).connection_count();
     if (on_device != expected_connects[n]) {
       ++rep.leaked_connect_sites;
       note(Kind::kLeakedConnects, n, -1, graph::kInvalidEdge,
@@ -1120,8 +1105,8 @@ AuditReport IrisController::audit_report() const {
   }
 
   // 4. DC-local wavelength state matches the last retune.
-  for (const auto& [dc, txs] : devices_->all_transceivers()) {
-    const long long tuned = devices_->tuned_count(dc);
+  for (const auto& [dc, txs] : devices_.all_transceivers()) {
+    const long long tuned = devices_.tuned_count(dc);
     const auto it = expected_tuned_.find(dc);
     const long long expected = it == expected_tuned_.end() ? 0 : it->second;
     if (tuned != expected) {
@@ -1171,19 +1156,19 @@ std::string IrisController::state_fingerprint() const {
   os << "hardware\n";
   for (NodeId n = 0; n < map_.graph().node_count(); ++n) {
     os << "oss " << n;
-    for (const auto& [in, out] : devices_->oss(n).connections()) {
+    for (const auto& [in, out] : devices_.oss(n).connections()) {
       os << ' ' << in << ':' << out;
     }
     os << '\n';
   }
-  for (const auto& [dc, txs] : devices_->all_transceivers()) {
+  for (const auto& [dc, txs] : devices_.all_transceivers()) {
     os << "tx " << dc;
     for (const auto& tx : txs) {
       os << ' ' << (tx.wavelength() ? *tx.wavelength() : -1);
     }
     os << '\n';
   }
-  for (const auto& [dc, em] : devices_->emulators()) {
+  for (const auto& [dc, em] : devices_.emulators()) {
     os << "ase " << dc;
     for (int ch : em.live_channels()) os << ' ' << ch;
     os << '\n';
@@ -1270,18 +1255,6 @@ void IrisController::restore_duct(EdgeId duct) {
   duct_failed_.at(duct) = false;
   ++state_version_;
   jrec(DuctEventRecord{duct, false});
-}
-
-const OpticalSpaceSwitch& IrisController::oss_at(NodeId site) const {
-  return devices_->oss(site);
-}
-
-const ChannelEmulator& IrisController::channel_emulator_at(NodeId dc) const {
-  return devices_->emulator(dc);
-}
-
-const SitePortMap& IrisController::port_map_at(NodeId site) const {
-  return devices_->port_map(site);
 }
 
 long long IrisController::allocated_fibers(EdgeId duct) const {
@@ -1373,7 +1346,7 @@ void IrisController::derive_free_pools(const Transaction* tx) {
 void IrisController::repair_connects(Allocation& alloc, ReconfigReport& report,
                                      RecoveryReport& rr) {
   for (const Connect& k : alloc.connects) {
-    OpticalSpaceSwitch& sw = devices_->oss(k.site);
+    OpticalSpaceSwitch& sw = devices_.oss(k.site);
     const auto out = sw.output_for(k.in_port);
     if (out && *out == k.out_port) continue;  // already programmed
     const auto clear = [&](int in, int blocked_out) {
@@ -1462,7 +1435,7 @@ RecoveryReport IrisController::recover(IntentJournal& journal) {
       expected.insert({z.site, z.in_port, z.out_port});
     }
     for (NodeId n = 0; n < map_.graph().node_count(); ++n) {
-      for (const auto& [in, out] : devices_->oss(n).connections()) {
+      for (const auto& [in, out] : devices_.oss(n).connections()) {
         if (expected.contains({n, in, out})) continue;
         zombie_connects_.push_back(Connect{n, in, out});
         obs::registry().add("controller.zombies.total");
@@ -1493,7 +1466,7 @@ RecoveryReport IrisController::recover(IntentJournal& journal) {
   // Zombies the hardware no longer carries (their mirror recovered, or a
   // repair displaced them) stop being tracked; their ports stay quarantined.
   std::erase_if(zombie_connects_, [&](const Connect& z) {
-    const auto out = devices_->oss(z.site).output_for(z.in_port);
+    const auto out = devices_.oss(z.site).output_for(z.in_port);
     return !out || *out != z.out_port;
   });
 

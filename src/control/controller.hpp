@@ -8,15 +8,16 @@
 // against intent. No online amplifier management is ever needed (fixed gain
 // + power limiters + full-spectrum ASE).
 //
-// The controller is crash-tolerant: it can journal its intent to an
-// IntentJournal (attach_journal) and a successor constructed against the
-// same DeviceLayer rebuilds the books from checkpoint + log replay and
-// reconciles them with the live hardware (recover).
+// The controller does not own the hardware it programs: it drives a
+// DeviceLayer that outlives it. That is what makes it crash-tolerant: it can
+// journal its intent to an IntentJournal (attach_journal), and a successor
+// constructed against the same DeviceLayer rebuilds the books from
+// checkpoint + log replay and reconciles them with the live hardware
+// (recover).
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <set>
 
@@ -182,17 +183,10 @@ struct RecoveryReport {
 
 class IrisController {
  public:
-  /// Self-contained controller: builds and owns its DeviceLayer (the
-  /// pre-crash-tolerance construction; devices die with the controller).
-  IrisController(const fibermap::FiberMap& map,
-                 const core::ProvisionedNetwork& network,
-                 const core::AmpCutPlan& amp_cut,
-                 DeviceLatencies latencies = {}, FaultConfig faults = {});
-
-  /// Controller over an externally owned DeviceLayer, which survives this
-  /// controller's destruction: the crash-tolerant deployment shape. The
-  /// layer must outlive the controller and have been built from the same
-  /// map/network/amp_cut.
+  /// Controller over `devices`, which survives this controller's
+  /// destruction. The layer must outlive the controller and have been built
+  /// from the same map/network/amp_cut; faults are injected through the
+  /// layer's FaultConfig.
   IrisController(const fibermap::FiberMap& map,
                  const core::ProvisionedNetwork& network,
                  const core::AmpCutPlan& amp_cut, DeviceLayer& devices,
@@ -205,15 +199,15 @@ class IrisController {
 
   /// Attaches the write-ahead intent journal (not owned; must outlive the
   /// controller). Immediately records a checkpoint of the current state so
-  /// replay has an anchor. Pass nullptr to detach.
+  /// replay has an anchor, and appends another every kCheckpointEvery
+  /// committed applies. Pass nullptr to detach.
   void attach_journal(IntentJournal* journal);
   [[nodiscard]] IntentJournal* journal() const noexcept { return journal_; }
-  /// A full-state checkpoint is appended to the journal every N committed
-  /// applies (default 16); 0 disables periodic checkpoints.
-  void set_checkpoint_interval(int applies) { checkpoint_every_ = applies; }
+  /// Committed applies between the journal's periodic checkpoints.
+  static constexpr std::uint64_t kCheckpointEvery = 16;
 
   /// Cold-restart reconciliation. Call on a freshly constructed controller
-  /// (external-DeviceLayer form, no applies yet): rebuilds intent from the
+  /// (no applies yet, no journal attached): rebuilds intent from the
   /// journal's checkpoint + log replay, interrogates the live devices, and
   /// converges the two -- surviving circuits are adopted, a half-finished
   /// apply is rolled forward to its target, orphaned cross-connects are
@@ -347,22 +341,13 @@ class IrisController {
     return trace_;
   }
 
-  /// The device layer's fault source (disabled unless a FaultConfig with
-  /// non-zero rates or a crash schedule was supplied at construction).
-  [[nodiscard]] const FaultInjector& fault_injector() const noexcept {
-    return devices_->fault_injector();
-  }
-
   /// The hardware this controller programs.
-  [[nodiscard]] DeviceLayer& devices() noexcept { return *devices_; }
+  [[nodiscard]] DeviceLayer& devices() noexcept { return devices_; }
   [[nodiscard]] const DeviceLayer& devices() const noexcept {
-    return *devices_;
+    return devices_;
   }
 
-  // Device-layer introspection for tests.
-  [[nodiscard]] const OpticalSpaceSwitch& oss_at(graph::NodeId site) const;
-  [[nodiscard]] const ChannelEmulator& channel_emulator_at(graph::NodeId dc) const;
-  [[nodiscard]] const SitePortMap& port_map_at(graph::NodeId site) const;
+  // Ledger introspection for tests.
   [[nodiscard]] long long allocated_fibers(graph::EdgeId duct) const;
   [[nodiscard]] int provisioned_fibers(graph::EdgeId duct) const;
   [[nodiscard]] int amplifiers_in_use(graph::NodeId site) const;
@@ -469,16 +454,12 @@ class IrisController {
   core::AmpCutPlan amp_cut_;
   DeviceLatencies latencies_;
 
-  /// Hardware. Either owned (legacy construction) or external and
-  /// crash-surviving; all device access goes through the pointer.
-  std::unique_ptr<DeviceLayer> owned_devices_;
-  DeviceLayer* devices_ = nullptr;
+  DeviceLayer& devices_;  ///< not owned; survives this controller
 
   IntentJournal* journal_ = nullptr;  ///< not owned; nullptr = no journaling
   CommandPlaneMode plane_mode_ = CommandPlaneMode::kSerial;
   CommandPlane* plane_ = nullptr;  ///< live only inside a Transaction
   int current_slot_ = -1;          ///< schedule slot of the op being executed
-  int checkpoint_every_ = 16;
   std::uint64_t applies_completed_ = 0;
   std::uint64_t state_version_ = 0;
 

@@ -94,12 +94,12 @@ bool Census::count(PoolId id, Use use, const std::vector<int>& items) {
       if (t.fault.empty()) t.fault = describe(id, "out-of-range", idx);
       continue;
     }
-    const auto i = static_cast<std::size_t>(idx);
-    if (i >= t.uses.size()) t.uses.resize(i + 1);
-    if ((t.uses[i] & use) != 0 && t.fault.empty()) {
+    std::uint8_t& u = t.total >= 0 ? t.uses[static_cast<std::size_t>(idx)]
+                                   : t.listed[idx];
+    if ((u & use) != 0 && t.fault.empty()) {
       t.fault = describe(id, "duplicate", idx);
     }
-    t.uses[i] |= use;
+    u |= use;
   }
   return true;
 }
@@ -125,16 +125,22 @@ std::vector<std::pair<PoolId, std::string>> Census::faults(
   std::vector<std::pair<PoolId, std::string>> out;
   for (const auto& [id, t] : tallies_) {
     std::string fault = t.fault;
-    for (std::size_t i = 0; fault.empty() && i < t.uses.size(); ++i) {
-      // Both rules keep free apart from the other uses; only at rest must
-      // every index have exactly one.
-      const int u = t.uses[i];
+    // Both rules keep free apart from the other uses; only at rest must
+    // every index have exactly one.
+    const auto check = [&](long long i, int u) {
       if (((u & kFree) != 0 && u != kFree) ||
           (at_rest && u == (kQuarantined | kHeld))) {
-        fault = describe(id, "duplicate", static_cast<long long>(i));
+        fault = describe(id, "duplicate", i);
       } else if (at_rest && u == 0) {
-        fault = describe(id, "unaccounted", static_cast<long long>(i));
+        fault = describe(id, "unaccounted", i);
       }
+    };
+    for (std::size_t i = 0; fault.empty() && i < t.uses.size(); ++i) {
+      check(static_cast<long long>(i), t.uses[i]);
+    }
+    for (auto it = t.listed.begin(); fault.empty() && it != t.listed.end();
+         ++it) {
+      check(it->first, it->second);
     }
     if (!fault.empty()) out.emplace_back(id, std::move(fault));
   }

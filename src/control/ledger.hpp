@@ -71,8 +71,9 @@ class Census {
   /// One bit per use, so an index's uses form a mask.
   enum Use : std::uint8_t { kFree = 1, kQuarantined = 2, kHeld = 4 };
 
-  /// No inventory: pools and their sizes grow with what is counted, so only
-  /// negative indices are out of range.
+  /// No inventory: pools grow with what is counted, so only negative
+  /// indices are out of range and none is unaccounted. Memory follows the
+  /// number of indices listed, not the largest one.
   Census() = default;
   /// `ledger`'s pools and sizes, with their free and quarantine lists.
   explicit Census(const Ledger& ledger);
@@ -89,13 +90,17 @@ class Census {
   [[nodiscard]] std::vector<std::pair<PoolId, std::string>> faults(
       PartitionRule rule) const;
   /// Indices of pool `id` in no state, descending: the canonical free list
-  /// once everything held and quarantined is counted.
+  /// once everything held and quarantined is counted. Empty for a pool
+  /// without inventory.
   [[nodiscard]] std::vector<int> unused(PoolId id) const;
 
  private:
   struct Tally {
     int total = -1;  ///< -1: no inventory
-    std::vector<std::uint8_t> uses;  ///< per index: the Use bits counted
+    /// The Use bits counted per index: dense over 0..total-1 with an
+    /// inventory, otherwise only for the indices listed.
+    std::vector<std::uint8_t> uses;
+    std::map<int, std::uint8_t> listed;
     std::string fault;  ///< first index out of range or twice in one Use
   };
 

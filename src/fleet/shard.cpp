@@ -14,6 +14,16 @@ namespace iris::fleet {
 using control::TrafficMatrix;
 using core::DcPair;
 
+namespace {
+
+/// Restart backoff after the k-th consecutive crash: kBackoffBaseS *
+/// kBackoffFactor^(k-1), capped at kBackoffMaxS (virtual seconds).
+constexpr double kBackoffBaseS = 1.0;
+constexpr double kBackoffFactor = 2.0;
+constexpr double kBackoffMaxS = 60.0;
+
+}  // namespace
+
 std::uint64_t fnv1a64(std::string_view s) {
   std::uint64_t h = 1469598103934665603ULL;
   for (const char c : s) {
@@ -254,11 +264,11 @@ RegionShard::Containment RegionShard::contain_crash(double t) {
   // Deterministic restart backoff: burns VIRTUAL clock time, so it shapes
   // the obs timeline identically on every run and never touches wall time.
   const auto backoff = [&] {
-    double s = sup.backoff_base_s;
-    for (int i = 1; i < consecutive_crashes_ && s < sup.backoff_max_s; ++i) {
-      s *= sup.backoff_factor;
+    double s = kBackoffBaseS;
+    for (int i = 1; i < consecutive_crashes_ && s < kBackoffMaxS; ++i) {
+      s *= kBackoffFactor;
     }
-    if (s > sup.backoff_max_s) s = sup.backoff_max_s;
+    if (s > kBackoffMaxS) s = kBackoffMaxS;
     reg.advance_virtual(s);
     reg.add_gauge("fleet.supervisor.backoff_s", s);
     slot_.add_backoff(s);

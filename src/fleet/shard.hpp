@@ -52,9 +52,10 @@ struct RegionConfig {
   /// duct fails at phase period/3 and recovers at 2*period/3, exercising
   /// the escape hatch and churning snapshot versions. 0 disables.
   long long chaos_duct_period = 0;
-  /// Crash containment (supervisor.hpp). Off by default: an unsupervised
-  /// shard attaches no journal and emits no supervisor series, keeping
-  /// crash-free traces byte-identical to pre-supervision builds.
+  /// Crash containment (supervisor.hpp), on iff supervisor.crash_every_cmds
+  /// > 0. An unsupervised shard attaches no journal and emits no supervisor
+  /// series, keeping crash-free traces byte-identical to pre-supervision
+  /// builds.
   SupervisorParams supervisor;
   /// Command-plane scheduling for the shard's controller (and any recovery
   /// successor the supervisor raises). Serial by default: fleet traces stay

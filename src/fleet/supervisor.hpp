@@ -34,27 +34,22 @@ enum class RegionHealth : int {
 
 [[nodiscard]] const char* region_health_name(RegionHealth health);
 
-/// Crash containment knobs, carried inside RegionConfig. Supervision is off
-/// by default -- an unsupervised shard runs the exact pre-supervision code
-/// path (no journal attached, no extra obs series), which is what keeps
-/// crash-free fleet traces byte-identical to earlier builds.
+/// Crash containment knobs, carried inside RegionConfig. A shard is
+/// supervised iff it has a crash schedule (crash_every_cmds > 0); an
+/// unsupervised shard runs the exact pre-supervision code path (no journal
+/// attached, no extra obs series), which is what keeps crash-free fleet
+/// traces byte-identical to earlier builds. Between restart attempts the
+/// shard backs off 1 s * 2^(k-1) for the k-th consecutive crash, capped at
+/// 60 s, on the obs virtual clock -- never wall time.
 struct SupervisorParams {
-  /// Master switch. Also implied by crash_every_cmds > 0.
-  bool enabled = false;
   /// Deterministic crash schedule: the shard's FaultInjector throws
   /// ControllerCrash every N device commands (re-armed after each recovery).
-  /// 0 = no injected crashes (supervision still contains organic ones).
+  /// 0 = no injected crashes and no supervision.
   long long crash_every_cmds = 0;
   /// Quarantine after this many crashes inside crash_window_s of loop time;
   /// 0 disables quarantine (every crash is recovered, forever).
   int quarantine_crashes = 0;
   double crash_window_s = 30.0;
-  /// Virtual-clock backoff between restart attempts: base * factor^(k-1)
-  /// for the k-th consecutive crash, capped at max. Deterministic -- burns
-  /// obs virtual time, never wall time.
-  double backoff_base_s = 1.0;
-  double backoff_factor = 2.0;
-  double backoff_max_s = 60.0;
   /// After a successful recovery the shard holds publishes for this many
   /// ticks (health stays kRecovering), so readers observe a bounded
   /// staleness window instead of a half-warm region.
@@ -65,7 +60,7 @@ struct SupervisorParams {
   long long arm_during_recovery = 0;
 
   [[nodiscard]] bool supervised() const noexcept {
-    return enabled || crash_every_cmds > 0;
+    return crash_every_cmds > 0;
   }
 };
 

@@ -14,6 +14,28 @@ namespace iris::simflow {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+/// Most change intervals, and most expected flow arrivals, one run may
+/// simulate. A finite but huge duration would otherwise overflow the
+/// interval count or exhaust memory on demand rows and flow records.
+constexpr double kMaxIntervals = 1e6;
+constexpr double kMaxExpectedArrivals = 1e7;
+
+/// Every floating-point field of `p`, nested ones included, is finite.
+bool all_finite(const SimParams& p) {
+  for (const CutEvent& cut : p.cuts) {
+    if (!std::isfinite(cut.at_s) || !std::isfinite(cut.affected_fraction) ||
+        !std::isfinite(cut.reroute_s)) {
+      return false;
+    }
+  }
+  return std::isfinite(p.duration_s) && std::isfinite(p.utilization) &&
+         std::isfinite(p.change_interval_s) &&
+         std::isfinite(p.reconfig_outage_s) &&
+         std::isfinite(p.fiber_granularity_gbps) &&
+         std::isfinite(p.traffic.total_gbps) &&
+         std::isfinite(p.traffic.pareto_alpha) &&
+         std::isfinite(p.traffic.change_fraction);
+}
 
 /// A capacity change point for one pair.
 struct CapacityEvent {
@@ -122,17 +144,33 @@ void simulate_pair(const FlowSizeDistribution& workload,
 
 SimResult simulate(const FlowSizeDistribution& workload,
                    const SimParams& params) {
+  if (!all_finite(params)) {
+    throw std::invalid_argument("simulate: non-finite parameter");
+  }
   if (params.duration_s <= 0.0 || params.utilization <= 0.0 ||
       params.utilization >= 1.0 || params.change_interval_s <= 0.0) {
     throw std::invalid_argument("simulate: bad parameters");
+  }
+  const double interval_count =
+      std::ceil(params.duration_s / params.change_interval_s);
+  if (!(interval_count <= kMaxIntervals)) {
+    throw std::invalid_argument(
+        "simulate: more than 1e6 change intervals in the arrival window");
+  }
+  // Demand rows sum to about total_gbps, so this is the window's expected
+  // Poisson arrivals over all pairs.
+  const double expected_arrivals = params.duration_s *
+                                   params.traffic.total_gbps * 1e9 / 8.0 /
+                                   workload.mean_bytes();
+  if (!(expected_arrivals <= kMaxExpectedArrivals)) {
+    throw std::invalid_argument(
+        "simulate: more than 1e7 expected flow arrivals");
   }
   const obs::Span span("simflow.simulate");
   SimResult result;
 
   // Pre-compute the demand trajectory: one row per change interval.
-  const int intervals = static_cast<int>(
-                            std::ceil(params.duration_s / params.change_interval_s)) +
-                        1;
+  const int intervals = static_cast<int>(interval_count) + 1;
   TrafficModel traffic(params.traffic);
   std::vector<std::vector<double>> demand_rows;
   demand_rows.reserve(intervals);

@@ -118,13 +118,4 @@ int DemandAwarePolicy::diverging_pairs(double now_s) const {
   return count;
 }
 
-std::unique_ptr<control::Policy> make_policy(
-    const control::ClosedLoopParams& loop, const DemandAwareParams& params,
-    const NetworkLimits& limits) {
-  if (loop.policy == control::PolicyStrategy::kDemandAware) {
-    return std::make_unique<DemandAwarePolicy>(limits, params);
-  }
-  return std::make_unique<control::ReconfigPolicy>(params.base);
-}
-
 }  // namespace iris::te

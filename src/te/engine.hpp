@@ -13,9 +13,6 @@
 // re-propose) work unchanged.
 #pragma once
 
-#include <memory>
-
-#include "control/closed_loop.hpp"
 #include "control/policy.hpp"
 #include "te/robust.hpp"
 
@@ -72,11 +69,5 @@ class DemandAwarePolicy final : public control::Policy {
   long long suppressed_ = 0;
   long long replans_ = 0;
 };
-
-/// Honors ClosedLoopParams::policy: builds the EWMA baseline or the
-/// demand-aware engine behind the shared Policy interface.
-std::unique_ptr<control::Policy> make_policy(
-    const control::ClosedLoopParams& loop, const DemandAwareParams& params,
-    const NetworkLimits& limits);
 
 }  // namespace iris::te

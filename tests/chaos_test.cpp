@@ -13,6 +13,7 @@
 #include "control/closed_loop.hpp"
 #include "control/controller.hpp"
 #include "control/policy.hpp"
+#include "controller_rig.hpp"
 #include "fibermap/generator.hpp"
 #include "run_digest.hpp"
 
@@ -74,8 +75,8 @@ SoakOutcome run_soak(int threads, std::uint64_t seed) {
   const auto map = fibermap::generate_region(region);
   const auto net = core::provision(map, chaos_params(threads));
   const auto plan = core::place_amplifiers_and_cutthroughs(map, net);
-  IrisController controller(map, net, plan, DeviceLatencies{},
-                            chaos_faults(seed));
+  ControllerRig rig(map, net, plan, chaos_faults(seed));
+  IrisController& controller = rig.controller;
 
   PolicyParams pp;
   pp.ewma_alpha = 0.5;
@@ -133,8 +134,8 @@ SoakOutcome run_soak(int threads, std::uint64_t seed) {
      << out.loop.oss_operations << '/' << out.loop.command_retries << '/'
      << out.loop.commands_timed_out << '/' << out.loop.circuit_retries << '/'
      << out.loop.resources_quarantined << '/' << s.quarantined_total() << '/'
-     << s.zombie_connects << '/' << controller.fault_injector().faults_injected()
-     << '\n';
+     << s.zombie_connects << '/'
+     << rig.devices.fault_injector().faults_injected() << '\n';
   for (const auto& cmd : controller.last_command_trace()) {
     fp << to_string(cmd) << '\n';
   }
@@ -221,7 +222,7 @@ CrashSoakOutcome run_crash_soak(std::uint64_t seed, long long crash_every) {
 
   std::ostringstream fp;
   fp << out.crashes << '/' << out.reconfigurations << '/' << out.rejected
-     << '/' << controller->fault_injector().faults_injected() << '/'
+     << '/' << devices.fault_injector().faults_injected() << '/'
      << devices.fault_injector().commands_seen() << '\n'
      << controller->state_fingerprint();
   out.fingerprint = fp.str();

@@ -5,6 +5,7 @@
 #include "control/controller.hpp"
 #include "control/closed_loop.hpp"
 #include "control/policy.hpp"
+#include "controller_rig.hpp"
 #include "fibermap/generator.hpp"
 
 namespace iris::control {
@@ -70,7 +71,7 @@ class ToyController : public ::testing::Test {
         ids_(fibermap::toy_example_ids()),
         net_(core::provision(map_, toy_params())),
         plan_(core::place_amplifiers_and_cutthroughs(map_, net_)),
-        controller_(map_, net_, plan_) {}
+        rig_(map_, net_, plan_) {}
 
   TrafficMatrix demand(long long w12, long long w13) const {
     TrafficMatrix tm;
@@ -83,7 +84,8 @@ class ToyController : public ::testing::Test {
   fibermap::ToyExampleIds ids_;
   core::ProvisionedNetwork net_;
   core::AmpCutPlan plan_;
-  IrisController controller_;
+  ControllerRig rig_;
+  IrisController& controller_ = rig_.controller;
 };
 
 TEST_F(ToyController, ProvisionsBasePlusResidualFibers) {
@@ -160,11 +162,11 @@ TEST_F(ToyController, FailedDuctReroutesOrRejects) {
 
 TEST_F(ToyController, ChannelEmulationTracksLiveChannels) {
   controller_.apply_traffic_matrix(demand(3, 0));
-  const auto& ase = controller_.channel_emulator_at(ids_.dc1);
+  const auto& ase = controller_.devices().emulator(ids_.dc1);
   EXPECT_EQ(ase.live_channels().size(), 3u);
   EXPECT_EQ(ase.ase_filled_channels(), 37);
   // DC3 is idle: all 40 channels are ASE fill.
-  EXPECT_EQ(controller_.channel_emulator_at(ids_.dc3).ase_filled_channels(), 40);
+  EXPECT_EQ(controller_.devices().emulator(ids_.dc3).ase_filled_channels(), 40);
 }
 
 TEST(ControllerOnRegion, RerouteAroundFailure) {
@@ -176,7 +178,8 @@ TEST(ControllerOnRegion, RerouteAroundFailure) {
   const auto map = fibermap::generate_region(region);
   const auto net = core::provision(map, toy_params(1));
   const auto plan = core::place_amplifiers_and_cutthroughs(map, net);
-  IrisController controller(map, net, plan);
+  ControllerRig rig(map, net, plan);
+  IrisController& controller = rig.controller;
 
   TrafficMatrix tm;
   tm[DcPair(map.dcs()[0], map.dcs()[1])] = 40;
@@ -198,9 +201,9 @@ TEST_F(ToyController, ProgramsRealCrossConnects) {
   controller_.apply_traffic_matrix(demand(40, 40));
   // Circuit dc1-dc2 via hub A: the hub's OSS must have pass-through
   // cross-connects; terminals must have add/drop connects.
-  const auto& hub_oss = controller_.oss_at(ids_.hub_a);
+  const auto& hub_oss = controller_.devices().oss(ids_.hub_a);
   EXPECT_GT(hub_oss.connection_count(), 0);
-  const auto& dc1_oss = controller_.oss_at(ids_.dc1);
+  const auto& dc1_oss = controller_.devices().oss(ids_.dc1);
   // dc1 terminates two circuits x 1 fiber each: 2 connects per fiber.
   EXPECT_EQ(dc1_oss.connection_count(), 4);
   EXPECT_TRUE(controller_.audit_devices());
@@ -210,7 +213,8 @@ TEST_F(ToyController, TeardownRemovesAllCrossConnects) {
   controller_.apply_traffic_matrix(demand(40, 40));
   controller_.apply_traffic_matrix({});
   for (graph::NodeId n = 0; n < map_.graph().node_count(); ++n) {
-    EXPECT_EQ(controller_.oss_at(n).connection_count(), 0) << "site " << n;
+    EXPECT_EQ(controller_.devices().oss(n).connection_count(), 0)
+        << "site " << n;
   }
   for (graph::EdgeId e = 0; e < map_.graph().edge_count(); ++e) {
     EXPECT_EQ(controller_.allocated_fibers(e), 0);
@@ -220,11 +224,11 @@ TEST_F(ToyController, TeardownRemovesAllCrossConnects) {
 
 TEST_F(ToyController, PassThroughPortsFollowThePortMap) {
   controller_.apply_traffic_matrix(demand(0, 40));  // dc1 -> dc3 via 2 hubs
-  const auto& pm = controller_.port_map_at(ids_.hub_a);
+  const auto& pm = controller_.devices().port_map(ids_.hub_a);
   // Forward strand: arrives from L1, leaves on L5 -- the hub's OSS must map
   // exactly that input to exactly that output for the allocated fiber.
   bool found = false;
-  const auto& oss = controller_.oss_at(ids_.hub_a);
+  const auto& oss = controller_.devices().oss(ids_.hub_a);
   for (int f = 0; f < controller_.provisioned_fibers(ids_.l1); ++f) {
     const auto out = oss.output_for(pm.duct_in_port(ids_.l1, f));
     if (!out) continue;
@@ -288,7 +292,8 @@ TEST(AmplifiedCircuits, LongRouteConsumesAmplifierUnits) {
   const auto net = core::provision(map, toy_params());
   const auto plan = core::place_amplifiers_and_cutthroughs(map, net);
   ASSERT_EQ(plan.amps_at_node[h1], 4);
-  IrisController controller(map, net, plan);
+  ControllerRig rig(map, net, plan);
+  IrisController& controller = rig.controller;
 
   TrafficMatrix tm;
   tm[DcPair(a, b)] = 80;  // 2 fibers -> 2 amplifier units
@@ -296,7 +301,7 @@ TEST(AmplifiedCircuits, LongRouteConsumesAmplifierUnits) {
   EXPECT_EQ(controller.amplifiers_in_use(h1), 2);
   // The hub OSS carries the loopback connects: per fiber, forward in->feed,
   // return->out, plus the reverse pass-through = 3 connects.
-  EXPECT_EQ(controller.oss_at(h1).connection_count(), 6);
+  EXPECT_EQ(controller.devices().oss(h1).connection_count(), 6);
 
   controller.apply_traffic_matrix({});
   EXPECT_EQ(controller.amplifiers_in_use(h1), 0);
@@ -312,7 +317,8 @@ TEST(AmplifiedCircuits, ExhaustedAmplifierPoolRollsBackCleanly) {
   const auto net = core::provision(map, toy_params());
   auto plan = core::place_amplifiers_and_cutthroughs(map, net);
   plan.amps_at_node[h1] = 1;  // sabotage: fewer amps than planned
-  IrisController controller(map, net, plan);
+  ControllerRig rig(map, net, plan);
+  IrisController& controller = rig.controller;
 
   TrafficMatrix tm;
   tm[DcPair(a, b)] = 80;  // needs 2 amplifier units, only 1 exists
@@ -320,7 +326,7 @@ TEST(AmplifiedCircuits, ExhaustedAmplifierPoolRollsBackCleanly) {
   // Rollback: nothing programmed, nothing leaked.
   EXPECT_EQ(controller.allocated_fibers(duct_a), 0);
   EXPECT_EQ(controller.amplifiers_in_use(h1), 0);
-  EXPECT_EQ(controller.oss_at(h1).connection_count(), 0);
+  EXPECT_EQ(controller.devices().oss(h1).connection_count(), 0);
   EXPECT_TRUE(controller.audit_devices());
   // A demand that fits the single amplifier still goes through.
   tm[DcPair(a, b)] = 40;
@@ -517,7 +523,8 @@ TEST(Policy, DrivesControllerEndToEnd) {
   const auto ids = fibermap::toy_example_ids();
   const auto net = core::provision(map, toy_params());
   const auto plan = core::place_amplifiers_and_cutthroughs(map, net);
-  IrisController controller(map, net, plan);
+  ControllerRig rig(map, net, plan);
+  IrisController& controller = rig.controller;
 
   PolicyParams params;
   params.hysteresis_s = 4.0;
@@ -572,7 +579,8 @@ TEST(Maintenance, DrainReroutesHitlessly) {
   const auto map = fibermap::generate_region(region);
   const auto net = core::provision(map, toy_params(1));
   const auto plan = core::place_amplifiers_and_cutthroughs(map, net);
-  IrisController controller(map, net, plan);
+  ControllerRig rig(map, net, plan);
+  IrisController& controller = rig.controller;
 
   TrafficMatrix tm;
   tm[DcPair(map.dcs()[0], map.dcs()[1])] = 40;
@@ -608,7 +616,8 @@ TEST(ClosedLoop, StableDemandSettlesAfterOneApply) {
   const auto ids = fibermap::toy_example_ids();
   const auto net = core::provision(map, toy_params());
   const auto plan = core::place_amplifiers_and_cutthroughs(map, net);
-  IrisController controller(map, net, plan);
+  ControllerRig rig(map, net, plan);
+  IrisController& controller = rig.controller;
   PolicyParams pp;
   pp.hysteresis_s = 3.0;
   pp.ewma_alpha = 1.0;
@@ -636,7 +645,8 @@ TEST(ClosedLoop, InfeasibleDemandIsRejectedNotFatal) {
   const auto ids = fibermap::toy_example_ids();
   const auto net = core::provision(map, toy_params());
   const auto plan = core::place_amplifiers_and_cutthroughs(map, net);
-  IrisController controller(map, net, plan);
+  ControllerRig rig(map, net, plan);
+  IrisController& controller = rig.controller;
   PolicyParams pp;
   pp.hysteresis_s = 1.0;
   pp.ewma_alpha = 1.0;
@@ -676,7 +686,8 @@ TEST(Policy, BackoffWindowsAreCountedAsSuppressedProposals) {
   const auto ids = fibermap::toy_example_ids();
   const auto net = core::provision(map, toy_params());
   const auto plan = core::place_amplifiers_and_cutthroughs(map, net);
-  IrisController controller(map, net, plan);
+  ControllerRig rig(map, net, plan);
+  IrisController& controller = rig.controller;
   PolicyParams pp;
   pp.hysteresis_s = 1.0;
   pp.ewma_alpha = 1.0;
@@ -806,7 +817,8 @@ TEST(Transactional, BreakBeforeMakeFailureRollsBackToOldCircuits) {
   const auto net = core::provision(map, toy_params());
   auto plan = core::place_amplifiers_and_cutthroughs(map, net);
   plan.amps_at_node[h1] = 1;  // sabotage: only one amplifier unit exists
-  IrisController controller(map, net, plan);
+  ControllerRig rig(map, net, plan);
+  IrisController& controller = rig.controller;
 
   TrafficMatrix tm;
   tm[DcPair(a, b)] = 40;  // 1 fiber, 1 amplifier unit: fits
@@ -830,7 +842,7 @@ TEST(Transactional, BreakBeforeMakeFailureRollsBackToOldCircuits) {
   EXPECT_EQ(controller.amplifiers_in_use(h1), 1);
   EXPECT_TRUE(controller.status().devices_consistent);
   // The restored circuit still carries traffic end to end.
-  EXPECT_GT(controller.oss_at(h1).connection_count(), 0);
+  EXPECT_GT(controller.devices().oss(h1).connection_count(), 0);
 }
 
 /// Same failure under make-before-break: the new generation is tried first,
@@ -847,15 +859,16 @@ TEST(Transactional, MakeBeforeBreakFailureKeepsOldCircuitsIntact) {
   const auto net = core::provision(map, toy_params());
   auto plan = core::place_amplifiers_and_cutthroughs(map, net);
   plan.amps_at_node[h1] = 1;
-  IrisController controller(map, net, plan);
+  ControllerRig rig(map, net, plan);
+  IrisController& controller = rig.controller;
 
   TrafficMatrix tm;
   tm[DcPair(a, b)] = 40;
   controller.apply_traffic_matrix(tm);
   const int connects_before =
-      controller.oss_at(h1).connection_count() +
-      controller.oss_at(a).connection_count() +
-      controller.oss_at(b).connection_count();
+      controller.devices().oss(h1).connection_count() +
+      controller.devices().oss(a).connection_count() +
+      controller.devices().oss(b).connection_count();
 
   tm[DcPair(a, b)] = 80;  // needs 2 amp units; fails before any connect
   EXPECT_THROW(
@@ -865,9 +878,9 @@ TEST(Transactional, MakeBeforeBreakFailureKeepsOldCircuitsIntact) {
   EXPECT_EQ(controller.active_circuits()[0].wavelengths, 40);
   EXPECT_EQ(controller.allocated_fibers(duct_a), 1);
   EXPECT_EQ(controller.amplifiers_in_use(h1), 1);
-  EXPECT_EQ(controller.oss_at(h1).connection_count() +
-                controller.oss_at(a).connection_count() +
-                controller.oss_at(b).connection_count(),
+  EXPECT_EQ(controller.devices().oss(h1).connection_count() +
+                controller.devices().oss(a).connection_count() +
+                controller.devices().oss(b).connection_count(),
             connects_before);
   EXPECT_TRUE(controller.status().devices_consistent);
   // The old circuit's allocation is still live: tearing it down must return
@@ -886,9 +899,11 @@ class FaultyToyController : public ::testing::Test {
         net_(core::provision(map_, toy_params())),
         plan_(core::place_amplifiers_and_cutthroughs(map_, net_)) {}
 
-  std::unique_ptr<IrisController> make_controller(const FaultConfig& cfg) {
-    return std::make_unique<IrisController>(map_, net_, plan_,
-                                            DeviceLatencies{}, cfg);
+  /// A controller over fresh devices injecting `cfg`'s faults; the fixture
+  /// keeps both alive for the test.
+  IrisController* make_controller(const FaultConfig& cfg) {
+    rigs_.push_back(std::make_unique<ControllerRig>(map_, net_, plan_, cfg));
+    return &rigs_.back()->controller;
   }
 
   TrafficMatrix demand(long long w12, long long w13) const {
@@ -902,6 +917,7 @@ class FaultyToyController : public ::testing::Test {
   fibermap::ToyExampleIds ids_;
   core::ProvisionedNetwork net_;
   core::AmpCutPlan plan_;
+  std::vector<std::unique_ptr<ControllerRig>> rigs_;
 };
 
 TEST_F(FaultyToyController, TransientFaultsAreHealedByRetries) {
@@ -940,7 +956,7 @@ TEST_F(FaultyToyController, AllPortsStuckIsACleanRefusal) {
   const auto s = controller->status();
   EXPECT_GT(s.quarantined_total(), 0);
   EXPECT_TRUE(s.devices_consistent);
-  EXPECT_GT(controller->fault_injector().stuck_port_count(), 0);
+  EXPECT_GT(controller->devices().fault_injector().stuck_port_count(), 0);
 }
 
 TEST_F(FaultyToyController, DeadTransceiversDegradeTheApply) {
@@ -1033,8 +1049,8 @@ TEST_F(FaultyToyController, SameSeedSameOutcomeAndTrace) {
   const auto log1 = run(*c1);
   const auto log2 = run(*c2);
   EXPECT_EQ(log1, log2);
-  EXPECT_EQ(c1->fault_injector().faults_injected(),
-            c2->fault_injector().faults_injected());
+  EXPECT_EQ(c1->devices().fault_injector().faults_injected(),
+            c2->devices().fault_injector().faults_injected());
   EXPECT_TRUE(c1->status().devices_consistent);
   EXPECT_TRUE(c2->status().devices_consistent);
 }
@@ -1055,7 +1071,8 @@ TEST(Maintenance, FallsBackToBreakBeforeMakeUnderFiberPressure) {
   map.add_duct_with_length(h2, h1, 10.0);
   const auto net = core::provision(map, toy_params(1));
   const auto plan = core::place_amplifiers_and_cutthroughs(map, net);
-  IrisController controller(map, net, plan);
+  ControllerRig rig(map, net, plan);
+  IrisController& controller = rig.controller;
 
   TrafficMatrix tm;
   tm[DcPair(a, b)] = 160;  // 4 fibers: the DC's full hose capacity
@@ -1110,7 +1127,8 @@ TEST_P(DemandSweep, FiberRoundingIsCeilOfLambda) {
   const auto ids = fibermap::toy_example_ids();
   const auto net = core::provision(map, toy_params());
   const auto plan = core::place_amplifiers_and_cutthroughs(map, net);
-  IrisController controller(map, net, plan);
+  ControllerRig rig(map, net, plan);
+  IrisController& controller = rig.controller;
 
   TrafficMatrix tm;
   tm[DcPair(ids.dc1, ids.dc2)] = waves;

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "control/controller.hpp"
+#include "controller_rig.hpp"
 #include "core/plan_region.hpp"
 #include "fibermap/generator.hpp"
 #include "fibermap/serialize.hpp"
@@ -50,7 +51,8 @@ TEST(Integration, FullPlanningPipelineIsFeasibleAndCheaper) {
 TEST(Integration, ControllerServesHoseTrafficOnPlannedNetwork) {
   const auto map = test_region(102);
   const auto plan = core::plan_region(map, planner_params(1));
-  control::IrisController controller(map, plan.network, plan.amp_cut);
+  control::ControllerRig rig(map, plan.network, plan.amp_cut);
+  control::IrisController& controller = rig.controller;
 
   // An aggressive but hose-legal matrix: every DC splits its capacity
   // across two peers.
@@ -70,7 +72,8 @@ TEST(Integration, ControllerServesHoseTrafficOnPlannedNetwork) {
 TEST(Integration, ControllerSurvivesSingleDuctFailures) {
   const auto map = test_region(103);
   const auto plan = core::plan_region(map, planner_params(1));
-  control::IrisController controller(map, plan.network, plan.amp_cut);
+  control::ControllerRig rig(map, plan.network, plan.amp_cut);
+  control::IrisController& controller = rig.controller;
 
   const auto& dcs = map.dcs();
   control::TrafficMatrix tm;

@@ -7,6 +7,11 @@
 // in-flight apply a crash interrupted.
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+#include <unistd.h>
+
+#include <cstdlib>
+#include <fstream>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -17,6 +22,7 @@
 
 #include "control/controller.hpp"
 #include "control/journal.hpp"
+#include "controller_rig.hpp"
 #include "fibermap/generator.hpp"
 #include "run_digest.hpp"
 
@@ -70,7 +76,8 @@ TrafficMatrix demand(const fibermap::FiberMap& map, int scale) {
 IntentJournal journal_from_run() {
   const Fixture& f = fixture();
   IntentJournal journal;
-  IrisController controller(f.map, f.net, f.plan);
+  ControllerRig rig(f.map, f.net, f.plan);
+  IrisController& controller = rig.controller;
   controller.attach_journal(&journal);
   controller.apply_traffic_matrix(demand(f.map, 0));
   controller.fail_duct(0);
@@ -325,7 +332,8 @@ TEST(JournalText, GarbageBetweenIntactRecordsIsCorruptionNotTearing) {
 
 TEST(JournalText, CorruptCheckpointIsRejectedWithClearError) {
   const Fixture& f = fixture();
-  IrisController controller(f.map, f.net, f.plan);
+  ControllerRig rig(f.map, f.net, f.plan);
+  IrisController& controller = rig.controller;
   controller.apply_traffic_matrix(demand(f.map, 0));
   ControllerCheckpoint cp = controller.snapshot();
 
@@ -366,10 +374,55 @@ TEST(JournalText, CorruptCheckpointThrowsEvenAsFinalRecord) {
                std::runtime_error);
 }
 
+/// Loads journal `text` with the address space capped at 256 MiB above
+/// what the process maps now. 0 when the load fails with a corrupt-checkpoint
+/// error for add/drop index 2147483647; nonzero on any other outcome. Run it
+/// in a death-test child: the cap stays for the rest of the process.
+int load_with_capped_memory(const std::string& text) {
+  std::ifstream statm("/proc/self/statm");
+  rlim_t pages = 0;
+  statm >> pages;
+  const rlim_t cap =
+      pages * static_cast<rlim_t>(sysconf(_SC_PAGESIZE)) + (rlim_t{256} << 20);
+  const rlimit limit{cap, cap};
+  if (setrlimit(RLIMIT_AS, &limit) != 0) return 3;
+  try {
+    (void)IntentJournal::from_text(text);
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    return what.find("corrupt checkpoint: duplicate add/drop index "
+                     "2147483647") != std::string::npos
+               ? 0
+               : 1;
+  }
+  return 2;
+}
+
+TEST(JournalText, HugePoolIndexIsRejectedWithoutSizingThePool) {
+  // A corrupt add/drop index near INT_MAX, listed both free and
+  // quarantined. The checkpoint records no pool sizes, so a census sized by
+  // its largest index would allocate 2 GiB before rejecting the text.
+  const Fixture& f = fixture();
+  ControllerRig rig(f.map, f.net, f.plan);
+  ControllerCheckpoint cp = rig.controller.snapshot();
+  ASSERT_FALSE(cp.free_add_drop.empty());
+  const graph::NodeId dc = cp.free_add_drop.begin()->first;
+  cp.free_add_drop[dc].push_back(2147483647);
+  cp.quarantined_add_drop[dc].push_back(2147483647);
+  IntentJournal j;
+  j.append(CheckpointRecord{cp});
+  const std::string text = j.to_text();
+  ASSERT_NE(text.find(" 2147483647"), std::string::npos);
+
+  EXPECT_EXIT(std::exit(load_with_capped_memory(text)),
+              ::testing::ExitedWithCode(0), "");
+}
+
 TEST(JournalReplay, FoldsCommittedAppliesIntoStableState) {
   const Fixture& f = fixture();
   IntentJournal journal;
-  IrisController controller(f.map, f.net, f.plan);
+  ControllerRig rig(f.map, f.net, f.plan);
+  IrisController& controller = rig.controller;
   controller.attach_journal(&journal);
   controller.apply_traffic_matrix(demand(f.map, 0));
   controller.apply_traffic_matrix(demand(f.map, 1));
@@ -385,7 +438,8 @@ TEST(JournalReplay, FoldsCommittedAppliesIntoStableState) {
 TEST(JournalReplay, DuctEventsFold) {
   const Fixture& f = fixture();
   IntentJournal journal;
-  IrisController controller(f.map, f.net, f.plan);
+  ControllerRig rig(f.map, f.net, f.plan);
+  IrisController& controller = rig.controller;
   controller.attach_journal(&journal);
   controller.fail_duct(2);
   controller.fail_duct(1);
@@ -399,7 +453,8 @@ TEST(JournalReplay, ReconstructsInFlightApply) {
   // establish begun but not done -- exactly what a crash leaves behind.
   const Fixture& f = fixture();
   IntentJournal journal;
-  IrisController controller(f.map, f.net, f.plan);
+  ControllerRig rig(f.map, f.net, f.plan);
+  IrisController& controller = rig.controller;
   controller.attach_journal(&journal);
   controller.apply_traffic_matrix(demand(f.map, 0));
   const std::size_t committed = journal.size();
@@ -486,10 +541,13 @@ TEST(JournalReplay, QuarantineRecordsFold) {
 TEST(JournalCompact, DropsHistoryBeforeLastCheckpoint) {
   const Fixture& f = fixture();
   IntentJournal journal;
-  IrisController controller(f.map, f.net, f.plan);
-  controller.set_checkpoint_interval(1);  // checkpoint after every apply
+  ControllerRig rig(f.map, f.net, f.plan);
+  IrisController& controller = rig.controller;
   controller.attach_journal(&journal);
   controller.apply_traffic_matrix(demand(f.map, 0));
+  // A second checkpoint, as the controller appends every kCheckpointEvery
+  // applies, so the history before it can go.
+  journal.append(CheckpointRecord{controller.snapshot()});
   controller.apply_traffic_matrix(demand(f.map, 1));
 
   const auto before = journal.replay();

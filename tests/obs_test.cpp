@@ -14,6 +14,7 @@
 #include "control/closed_loop.hpp"
 #include "control/controller.hpp"
 #include "control/policy.hpp"
+#include "controller_rig.hpp"
 #include "core/provision.hpp"
 #include "fibermap/generator.hpp"
 #include "obs/argparse.hpp"
@@ -476,8 +477,8 @@ control::ClosedLoopResult faulty_loop_run(std::uint64_t seed) {
   faults.retry.max_command_attempts = 2;
   faults.retry.max_circuit_attempts = 2;
   faults.seed = seed;
-  control::IrisController controller(map, net, plan,
-                                     control::DeviceLatencies{}, faults);
+  control::ControllerRig rig(map, net, plan, faults);
+  control::IrisController& controller = rig.controller;
 
   control::PolicyParams pp;
   pp.ewma_alpha = 0.5;

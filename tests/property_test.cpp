@@ -7,6 +7,7 @@
 
 #include "clos/ecmp.hpp"
 #include "control/controller.hpp"
+#include "controller_rig.hpp"
 #include "core/plan_region.hpp"
 #include "fibermap/generator.hpp"
 #include "graph/hose.hpp"
@@ -219,7 +220,8 @@ TEST_P(ControllerStress, RandomFeasibleMatricesKeepDevicesConsistent) {
   params.failure_tolerance = 1;
   const auto net = core::provision(map, params);
   const auto plan = core::place_amplifiers_and_cutthroughs(map, net);
-  control::IrisController controller(map, net, plan);
+  control::ControllerRig rig(map, net, plan);
+  control::IrisController& controller = rig.controller;
 
   std::mt19937_64 rng(GetParam() * 31337);
   const auto& dcs = map.dcs();
@@ -265,7 +267,7 @@ TEST_P(ControllerStress, RandomFeasibleMatricesKeepDevicesConsistent) {
     EXPECT_EQ(controller.allocated_fibers(e), 0) << "leak on duct " << e;
   }
   for (graph::NodeId n = 0; n < map.graph().node_count(); ++n) {
-    EXPECT_EQ(controller.oss_at(n).connection_count(), 0) << "site " << n;
+    EXPECT_EQ(rig.devices.oss(n).connection_count(), 0) << "site " << n;
     EXPECT_EQ(controller.amplifiers_in_use(n), 0);
   }
 }

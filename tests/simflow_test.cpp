@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <limits>
+#include <string>
+#include <vector>
+
 #include "simflow/simulator.hpp"
 #include "simflow/traffic.hpp"
 #include "simflow/workloads.hpp"
@@ -326,6 +331,55 @@ TEST(Simulator, RejectsBadParameters) {
   params = small_sim(Fabric::kIris);
   params.duration_s = -1.0;
   EXPECT_THROW((void)simulate(workload, params), std::invalid_argument);
+
+  const auto rejects = [&](const SimParams& p, const std::string& what) {
+    try {
+      (void)simulate(workload, p);
+      ADD_FAILURE() << "accepted: " << what;
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string();
+  };
+
+  // Every floating-point number, nested ones included, must be finite.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<std::function<void(SimParams&, double)>> fields{
+      [](SimParams& p, double v) { p.duration_s = v; },
+      [](SimParams& p, double v) { p.utilization = v; },
+      [](SimParams& p, double v) { p.change_interval_s = v; },
+      [](SimParams& p, double v) { p.reconfig_outage_s = v; },
+      [](SimParams& p, double v) { p.fiber_granularity_gbps = v; },
+      [](SimParams& p, double v) { p.traffic.total_gbps = v; },
+      [](SimParams& p, double v) { p.traffic.pareto_alpha = v; },
+      [](SimParams& p, double v) { p.traffic.change_fraction = v; },
+      [](SimParams& p, double v) { p.cuts.push_back({v, 0.2, 0.11}); },
+      [](SimParams& p, double v) { p.cuts.push_back({1.0, v, 0.11}); },
+      [](SimParams& p, double v) { p.cuts.push_back({1.0, 0.2, v}); }};
+  for (std::size_t f = 0; f < fields.size(); ++f) {
+    for (const double v : {nan, inf, -inf}) {
+      params = small_sim(Fabric::kIris);
+      fields[f](params, v);
+      EXPECT_EQ(rejects(params, "field " + std::to_string(f)),
+                "simulate: non-finite parameter");
+    }
+  }
+
+  // A finite but huge run: the interval count would overflow an int, or
+  // the arrivals would not fit in memory.
+  params = small_sim(Fabric::kIris);
+  params.duration_s = 1e300;
+  EXPECT_EQ(rejects(params, "duration 1e300"),
+            "simulate: more than 1e6 change intervals in the arrival window");
+  params = small_sim(Fabric::kIris);
+  params.change_interval_s = 1e-6;  // 3e6 intervals
+  EXPECT_EQ(rejects(params, "interval 1e-6 s"),
+            "simulate: more than 1e6 change intervals in the arrival window");
+  params = small_sim(Fabric::kIris);
+  params.duration_s = 1e6;  // 1e6 intervals, but ~1e10 arrivals
+  EXPECT_EQ(rejects(params, "duration 1e6"),
+            "simulate: more than 1e7 expected flow arrivals");
 }
 
 TEST(Simulator, SummaryIsConsistent) {

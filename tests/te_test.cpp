@@ -8,6 +8,7 @@
 
 #include "control/closed_loop.hpp"
 #include "control/controller.hpp"
+#include "controller_rig.hpp"
 #include "fibermap/generator.hpp"
 #include "te/cluster.hpp"
 #include "te/engine.hpp"
@@ -427,7 +428,8 @@ TEST_F(ToyRegion, RejectsBadEngineParameters) {
 }
 
 TEST_F(ToyRegion, DemandAwareDrivesClosedLoopToConvergence) {
-  control::IrisController controller(map_, net_, plan_);
+  control::ControllerRig rig(map_, net_, plan_);
+  control::IrisController& controller = rig.controller;
   DemandAwarePolicy policy(limits_, engine_params());
   control::ClosedLoopParams lp;
   lp.duration_s = 40.0;
@@ -445,7 +447,8 @@ TEST_F(ToyRegion, DemandAwareDrivesClosedLoopToConvergence) {
 }
 
 TEST_F(ToyRegion, SurplusRetentionHoldsCircuitsThroughADemandSwing) {
-  control::IrisController controller(map_, net_, plan_);
+  control::ControllerRig rig(map_, net_, plan_);
+  control::IrisController& controller = rig.controller;
   DemandAwarePolicy policy(limits_, engine_params());
   control::ClosedLoopParams lp;
   lp.duration_s = 60.0;
@@ -475,50 +478,6 @@ TEST_F(ToyRegion, SurplusRetentionHoldsCircuitsThroughADemandSwing) {
   EXPECT_TRUE(found);
 }
 
-TEST_F(ToyRegion, FactoryHonorsTheStrategyKnob) {
-  control::ClosedLoopParams ewma_loop;
-  ewma_loop.policy = control::PolicyStrategy::kEwma;
-  const auto ewma = make_policy(ewma_loop, engine_params(), limits_);
-  EXPECT_NE(dynamic_cast<control::ReconfigPolicy*>(ewma.get()), nullptr);
-
-  control::ClosedLoopParams da_loop;
-  da_loop.policy = control::PolicyStrategy::kDemandAware;
-  const auto da = make_policy(da_loop, engine_params(), limits_);
-  EXPECT_NE(dynamic_cast<DemandAwarePolicy*>(da.get()), nullptr);
-}
-
-TEST_F(ToyRegion, EwmaStrategyIsByteIdenticalToDirectReconfigPolicy) {
-  // With the knob at kEwma the factory-built policy must reproduce the
-  // pre-existing closed-loop behavior exactly -- same result counters, same
-  // final circuit set.
-  const auto trace = [&](control::Policy& policy) {
-    control::IrisController controller(map_, net_, plan_);
-    control::ClosedLoopParams lp;
-    lp.duration_s = 30.0;
-    const auto result = run_closed_loop(
-        controller, policy,
-        [&](double t) { return t < 15.0 ? demand(80, 0) : demand(0, 80); },
-        lp);
-    std::string log = std::to_string(result.reconfigurations) + "/" +
-                      std::to_string(result.rejected) + "/" +
-                      std::to_string(result.oss_operations) + "/" +
-                      std::to_string(result.diverging_pairs_end) + "/" +
-                      std::to_string(result.proposals_suppressed);
-    for (const auto& c : controller.active_circuits()) {
-      log += "|" + std::to_string(c.pair.a) + "-" + std::to_string(c.pair.b) +
-             ":" + std::to_string(c.fiber_pairs) + ":" +
-             std::to_string(c.wavelengths);
-    }
-    return log;
-  };
-
-  control::ReconfigPolicy direct(engine_params().base);
-  control::ClosedLoopParams lp;
-  lp.policy = control::PolicyStrategy::kEwma;
-  const auto via_factory = make_policy(lp, engine_params(), limits_);
-  EXPECT_EQ(trace(direct), trace(*via_factory));
-}
-
 // ------------------------------------------------- Fault-injection contract
 
 TEST_F(ToyRegion, TransientFaultsAreAbsorbedThroughDeferRetry) {
@@ -527,8 +486,8 @@ TEST_F(ToyRegion, TransientFaultsAreAbsorbedThroughDeferRetry) {
   cfg.rates.tx_tune_fail = 0.1;
   cfg.rates.timeout_fraction = 0.3;
   cfg.seed = 2020;
-  control::IrisController controller(map_, net_, plan_,
-                                     control::DeviceLatencies{}, cfg);
+  control::ControllerRig rig(map_, net_, plan_, cfg);
+  control::IrisController& controller = rig.controller;
   auto params = engine_params();
   params.base.retry_backoff_s = 2.0;
   DemandAwarePolicy policy(limits_, params);
@@ -552,8 +511,8 @@ TEST_F(ToyRegion, RolledBackAppliesAreRetriedAfterBackoff) {
   control::FaultConfig cfg;
   cfg.rates.oss_port_stuck = 1.0;
   cfg.seed = 9;
-  control::IrisController controller(map_, net_, plan_,
-                                     control::DeviceLatencies{}, cfg);
+  control::ControllerRig rig(map_, net_, plan_, cfg);
+  control::IrisController& controller = rig.controller;
   auto params = engine_params();
   params.base.retry_backoff_s = 3.0;
   DemandAwarePolicy policy(limits_, params);
@@ -579,8 +538,8 @@ TEST_F(ToyRegion, SameSeedSameClosedLoopTraceUnderFaults) {
   cfg.seed = 777;
 
   const auto run = [&] {
-    control::IrisController controller(map_, net_, plan_,
-                                       control::DeviceLatencies{}, cfg);
+    control::ControllerRig rig(map_, net_, plan_, cfg);
+    control::IrisController& controller = rig.controller;
     auto params = engine_params();
     params.base.retry_backoff_s = 2.0;
     DemandAwarePolicy policy(limits_, params);
