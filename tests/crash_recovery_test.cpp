@@ -11,6 +11,7 @@
 #include <map>
 #include <memory>
 #include <random>
+#include <set>
 #include <string>
 #include <variant>
 #include <vector>
@@ -755,6 +756,102 @@ TEST(ControlRetune, CrashInsideRetuneResumesWhereItStopped) {
         EXPECT_EQ(devices.emulator(dc).live_channels(), em.live_channels())
             << "dc " << dc;
       }
+    }
+  }
+}
+
+// Over seeded applies with transient and permanent tune failures (so
+// transceivers get quarantined) and a crash every k commands with recovery
+// by a successor, on both command planes: after every finished apply or
+// recovery, each DC's ASE emulator carries exactly the channels of its
+// non-quarantined tuned transceivers, and the DC's last SetAseFillCmd in
+// the trace carries that set's size -- also when the retune found the
+// emulator already holding the set.
+TEST(ControlRetune, EmulatorLiveSetMatchesReadBack) {
+  const Fixture& f = fixture();
+  for (const CommandPlaneMode mode :
+       {CommandPlaneMode::kSerial, CommandPlaneMode::kAsync}) {
+    for (const std::uint64_t seed : {1ULL, 2ULL, 3ULL}) {
+      SCOPED_TRACE(std::string(mode == CommandPlaneMode::kAsync ? "async"
+                                                                : "serial") +
+                   " seed=" + std::to_string(seed));
+      FaultConfig cfg;
+      cfg.seed = seed;
+      cfg.rates.tx_tune_fail = 0.2;
+      cfg.rates.tx_dead = 0.02;
+      cfg.rates.timeout_fraction = 0.3;
+      const long long k = 53 + 17 * static_cast<long long>(seed);
+      cfg.crash_after_commands = k;
+      DeviceLayer devices(f.map, f.net, f.plan, cfg);
+      IntentJournal journal;
+      auto ctl = std::make_unique<IrisController>(f.map, f.net, f.plan, devices);
+      ctl->set_command_plane(mode);
+      ctl->attach_journal(&journal);
+      std::mt19937_64 rng(seed);
+
+      int checked_traces = 0;
+      int recoveries = 0;
+      // `retuned`: the last call ran a retune, so the trace ends in one
+      // SetAseFillCmd per DC.
+      const auto check = [&](bool retuned) {
+        const ControllerCheckpoint cp = ctl->snapshot();
+        for (const auto& [dc, em] : devices.emulators()) {
+          const auto q = cp.quarantined_txs.find(dc);
+          std::set<int> carried;
+          const auto& txs = devices.transceivers(dc);
+          for (int idx = 0; idx < std::ssize(txs); ++idx) {
+            if (q != cp.quarantined_txs.end() && q->second.contains(idx)) {
+              continue;
+            }
+            if (const auto ch = txs[static_cast<std::size_t>(idx)].wavelength()) {
+              carried.insert(*ch);
+            }
+          }
+          EXPECT_EQ(em.live_channels(), carried) << "dc " << dc;
+          if (!retuned) continue;
+          const SetAseFillCmd* last = nullptr;
+          for (const DeviceCommand& cmd : ctl->last_command_trace()) {
+            if (const auto* s = std::get_if<SetAseFillCmd>(&cmd);
+                s != nullptr && s->dc == dc) {
+              last = s;
+            }
+          }
+          ASSERT_NE(last, nullptr) << "dc " << dc;
+          EXPECT_EQ(last->live_channels, std::ssize(carried)) << "dc " << dc;
+        }
+        if (retuned) ++checked_traces;
+      };
+
+      for (int step = 0; step < 30; ++step) {
+        TrafficMatrix tm;
+        const auto& dcs = f.map.dcs();
+        for (std::size_t i = 0; i + 1 < dcs.size(); ++i) {
+          tm[DcPair(dcs[i], dcs[i + 1])] =
+              1 + static_cast<long long>(rng() % 160);
+        }
+        const auto strategy = rng() % 2 == 0
+                                  ? ReconfigStrategy::kBreakBeforeMake
+                                  : ReconfigStrategy::kMakeBeforeBreak;
+        try {
+          ctl->apply_traffic_matrix(tm, strategy);
+          check(true);
+        } catch (const std::runtime_error&) {
+          check(false);  // refused before any device changed
+        } catch (const ControllerCrash&) {
+          ctl.reset();
+          journal = IntentJournal::from_text(journal.to_text());
+          ctl = std::make_unique<IrisController>(f.map, f.net, f.plan, devices);
+          const RecoveryReport rr = ctl->recover(journal);
+          EXPECT_TRUE(rr.audit.clean()) << rr.audit.summary();
+          ctl->set_command_plane(mode);
+          ++recoveries;
+          check(rr.had_in_flight);
+          devices.fault_injector().arm_crash(k);
+        }
+      }
+      EXPECT_GE(recoveries, 3);
+      EXPECT_GE(checked_traces, 10);
+      EXPECT_GT(ctl->status().quarantined_transceivers, 0);
     }
   }
 }
