@@ -434,40 +434,47 @@ std::optional<std::string> IrisController::try_establish(
 void IrisController::retune_dcs(ReconfigReport& report) {
   const obs::Span span("retune");
   const int lambda = network_.params.channels.wavelengths_per_fiber;
-  // Wavelengths each DC needs per channel: wavelength w rides channel
-  // w % lambda.
-  std::map<NodeId, std::vector<long long>> need;
-  for (const Circuit& c : active_) {
-    for (const NodeId dc : {c.pair.a, c.pair.b}) {
-      auto& n = need[dc];
-      n.resize(static_cast<std::size_t>(lambda), 0);
+  const auto lam = static_cast<std::size_t>(lambda);
+  auto& all_txs = devices_.all_transceivers();
+  // Per DC, in DC order, and per channel: whether a tuned transceiver
+  // carries the channel. The emulators are keyed by the same DCs.
+  std::vector<char> live(all_txs.size() * lam, 0);
+  std::vector<long long> deficit(lam);
+  std::vector<int> idle;
+  expected_tuned_.clear();
+  char* dc_live = live.data();
+  for (auto& [dc, txs] : all_txs) {
+    // Wavelengths the DC needs per channel: wavelength w rides channel
+    // w % lambda.
+    std::fill(deficit.begin(), deficit.end(), 0);
+    for (const Circuit& c : active_) {
+      const int ends = (c.pair.a == dc ? 1 : 0) + (c.pair.b == dc ? 1 : 0);
+      if (ends == 0) continue;
       for (int ch = 0; ch < lambda; ++ch) {
-        n[static_cast<std::size_t>(ch)] +=
-            c.wavelengths / lambda + (ch < c.wavelengths % lambda ? 1 : 0);
+        deficit[static_cast<std::size_t>(ch)] +=
+            ends * (c.wavelengths / lambda + (ch < c.wavelengths % lambda));
       }
     }
-  }
-  expected_tuned_.clear();
-  std::map<NodeId, std::set<int>> live;
-  for (auto& [dc, txs] : devices_.all_transceivers()) {
-    std::vector<long long>& deficit = need[dc];
-    deficit.resize(static_cast<std::size_t>(lambda), 0);
-    const auto quarantined = [&, dc = dc](int idx) {
-      const auto it = quarantined_txs_.find(dc);
-      return it != quarantined_txs_.end() && it->second.contains(idx);
-    };
+    // The DC's quarantined transceivers, walked in index order beside the
+    // transceivers.
+    static const std::set<int> kNone;
+    const auto q = quarantined_txs_.find(dc);
+    const std::set<int>& quarantined =
+        q == quarantined_txs_.end() ? kNone : q->second;
+    auto q_next = quarantined.begin();
     long long tuned = 0;
     // Diff against the read-back: a transceiver still carrying a needed
     // channel keeps it without a command (so a retune resumed after a crash
     // skips what already finished); every other one goes dark.
-    std::vector<int> idle;
+    idle.clear();
     for (int idx = 0; idx < std::ssize(txs); ++idx) {
       TunableTransceiver& tx = txs[static_cast<std::size_t>(idx)];
-      const bool usable = !quarantined(idx);
+      const bool usable = q_next == quarantined.end() || *q_next != idx;
+      if (!usable) ++q_next;
       if (const auto ch = tx.wavelength();
           usable && ch && deficit[static_cast<std::size_t>(*ch)] > 0) {
         --deficit[static_cast<std::size_t>(*ch)];
-        live[dc].insert(*ch);
+        dc_live[*ch] = 1;
         ++tuned;
         continue;
       }
@@ -482,12 +489,11 @@ void IrisController::retune_dcs(ReconfigReport& report) {
         bool ok = false;
         while (!ok && next != idle.end()) {
           const int idx = *next++;
-          ok = run_with_retry(report, [&] {
-                 return txs[static_cast<std::size_t>(idx)].tune(ch);
-               }).ok();
+          TunableTransceiver& tx = txs[static_cast<std::size_t>(idx)];
+          ok = run_with_retry(report, [&tx, ch] { return tx.tune(ch); }).ok();
           if (ok) {
             record_cmd(TuneTransceiverCmd{dc, idx, ch});
-            live[dc].insert(ch);
+            dc_live[ch] = 1;
             ++report.transceivers_retuned;
             ++tuned;
           } else {
@@ -503,15 +509,29 @@ void IrisController::retune_dcs(ReconfigReport& report) {
       }
     }
     if (tuned > 0) expected_tuned_[dc] = tuned;
+    dc_live += lam;
   }
   if (!devices_.fault_injector().enabled() && report.wavelengths_untuned > 0) {
     throw std::logic_error("transceiver pool exhausted despite admission");
   }
+  // Rewrite an emulator only when its live set changed; the fill command is
+  // recorded either way.
+  dc_live = live.data();
   for (auto& [dc, emulator] : devices_.emulators()) {
-    emulator.set_live_channels(live.contains(dc) ? live.at(dc)
-                                                 : std::set<int>{});
-    record_cmd(
-        SetAseFillCmd{dc, static_cast<int>(emulator.live_channels().size())});
+    const std::set<int>& now = emulator.live_channels();
+    const auto count =
+        static_cast<std::size_t>(std::count(dc_live, dc_live + lam, char{1}));
+    if (now.size() != count ||
+        !std::all_of(now.begin(), now.end(),
+                     [&](int ch) { return dc_live[ch] != 0; })) {
+      std::set<int> next;
+      for (int ch = 0; ch < lambda; ++ch) {
+        if (dc_live[ch] != 0) next.insert(next.end(), ch);
+      }
+      emulator.set_live_channels(std::move(next));
+    }
+    record_cmd(SetAseFillCmd{dc, static_cast<int>(count)});
+    dc_live += lam;
   }
 }
 

@@ -412,7 +412,11 @@ class IrisController {
   /// the fewest commands: a transceiver already tuned to a still-needed
   /// channel keeps it, surplus ones go dark, and the lowest idle
   /// non-quarantined ones are tuned for the rest (a permanent tune failure
-  /// quarantines the unit). Then refreshes each DC's ASE live channels.
+  /// quarantines the unit). Need and live channels are flat per-channel
+  /// tallies per DC, and the DC's quarantine set is walked beside its
+  /// transceivers, so CPU tracks the change like the commands do. Then
+  /// records one SetAseFill per DC, rewriting the emulator's live channels
+  /// only where they changed.
   void retune_dcs(ReconfigReport& report);
   /// Records one issued device command: appends to the trace and, when a
   /// command plane is live (inside a transaction), charges it onto the
