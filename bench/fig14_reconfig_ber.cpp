@@ -18,6 +18,7 @@
 
 #include "bench_util.hpp"
 #include "control/controller.hpp"
+#include "fibermap/generator.hpp"
 #include "optical/lightpath.hpp"
 
 namespace {
@@ -146,6 +147,53 @@ void BM_ReconfigurationApply(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ReconfigurationApply)->Unit(benchmark::kMicrosecond);
+
+// Applies on a fleet-loop-sized region (5 DCs, 10 huts, 8 fibers per DC,
+// lambda = 40: 1,600 transceivers) that alternate two ring traffic matrices
+// 6 wavelengths apart per pair: two of the four circuits change fiber
+// count, two keep theirs and only retune. One iteration is a round trip of
+// two applies; `apply_time` is the wall time per apply, and the other
+// counters are machine-independent work per apply.
+void BM_FleetRegionApply(benchmark::State& state) {
+  fibermap::RegionParams rp;
+  rp.seed = 7;
+  rp.dc_count = 5;
+  rp.hut_count = 10;
+  rp.capacity_fibers = 8;
+  const auto map = fibermap::generate_region(rp);
+  const auto net = core::provision(map, bench::eval_params(1, 40));
+  const auto plan = core::place_amplifiers_and_cutthroughs(map, net);
+  const auto& dcs = map.dcs();
+  control::TrafficMatrix tms[2];
+  for (std::size_t i = 0; i + 1 < dcs.size(); ++i) {
+    const auto waves = 36 + 20 * static_cast<long long>(i);
+    tms[0][core::DcPair(dcs[i], dcs[i + 1])] = waves;
+    tms[1][core::DcPair(dcs[i], dcs[i + 1])] = waves + 6;
+  }
+  control::DeviceLayer devices(map, net, plan);
+  control::IrisController controller(map, net, plan, devices);
+  controller.apply_traffic_matrix(tms[0]);
+  long long applies = 0;
+  long long commands = 0;
+  long long retuned = 0;
+  for (auto _ : state) {
+    for (const int i : {1, 0}) {
+      retuned += controller.apply_traffic_matrix(tms[i]).transceivers_retuned;
+      commands += std::ssize(controller.last_command_trace());
+      ++applies;
+    }
+  }
+  const auto per_apply = [&](long long n) {
+    return static_cast<double>(n) / static_cast<double>(applies);
+  };
+  state.counters["apply_time"] =
+      benchmark::Counter(static_cast<double>(applies),
+                         benchmark::Counter::kIsRate |
+                             benchmark::Counter::kInvert);
+  state.counters["commands_per_apply"] = per_apply(commands);
+  state.counters["retuned_per_apply"] = per_apply(retuned);
+}
+BENCHMARK(BM_FleetRegionApply)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 
